@@ -284,25 +284,23 @@ class ColocationExperiment:
                 raise RuntimeError("out of dedicated core blocks for new workloads")
             self._core_cursor += self.cores_per_workload
         self._core_base[pid] = base_core
-        core_map: dict[int, int] = {}
-        for tid in range(n_threads):
+        cores = base_core + np.arange(n_threads, dtype=np.int64) % self.cores_per_workload
+        core_map = dict(enumerate(cores.tolist()))
+        for tid, core in core_map.items():
             proc.spawn_thread(tid)
-            core = base_core + (tid % self.cores_per_workload)
             self.machine.cpu.schedule_thread(tid, core)  # local tid on its core
-            core_map[tid] = core
 
         vma = proc.mmap(wl.spec.rss_pages, name=f"{wl.name}-rss")
         wl.plan_horizon = self.plan_horizon
-        wl.bind(pid, vma)  # bind first: first_touch_tid may need region layout
+        wl.bind(pid, vma)  # bind first: first_touch_tids may need region layout
         space = AddressSpace(proc, self.allocator)
         # First touch sets PTE ownership (§3.4): the workload says which
-        # thread faults each page in (its own shard vs shared structures).
-        for i, vpn in enumerate(range(vma.start_vpn, vma.end_vpn)):
-            tid = wl.first_touch_tid(i) % n_threads
-            space.fault(vpn, tid=tid, prefer_tier=wl.spec.populate_tier)
-            page_pfn = space.translate(vpn)
-            assert page_pfn is not None
-            self.lru.add_page(page_pfn, self.allocator.tier_of_pfn(page_pfn), core_map[tid])
+        # thread faults each page in (its own shard vs shared structures),
+        # and that thread's core buffers the page for the LRU.
+        tids = wl.first_touch_tids(np.arange(vma.n_pages, dtype=np.int64)) % n_threads
+        space.populate(vma, tids, prefer_tier=wl.spec.populate_tier)
+        pfns = proc.repl.flat.pfn[proc.repl.flat.indices(vma.vpns())]
+        self.lru.add_pages(pfns, self.allocator.store.tier_id[pfns], cores[tids])
         self.lru.drain(None)  # initial bulk drain, not charged to anyone
 
         # Rough per-page access rate for the transactional dirty model.

@@ -9,6 +9,10 @@ allocator and implements the fault path:
 * touch by a second thread → private→shared promotion in the PTE
   ownership bits (see :mod:`repro.mm.replication`).
 
+``populate()`` is the array form of the fault path: it faults a whole
+VMA in at admission with one frame pop, one store scatter and one
+update per leaf table.
+
 Two access paths are provided.  ``touch()`` is the fully structural
 per-access path used by the microbenchmarks (it exercises TLBs and page
 tables).  ``record_batch()`` is the vectorized path used by the
@@ -149,14 +153,41 @@ class AddressSpace:
 
     # -- vectorized access path (epoch simulator) ---------------------------
 
-    def populate(self, vma: Vma, tid: int, *, prefer_tier: int = 0) -> int:
-        """Fault in an entire VMA for ``tid``; returns pages mapped."""
-        mapped = 0
-        for vpn in range(vma.start_vpn, vma.end_vpn):
-            if self.process.repl.lookup(vpn) is None:
-                self.fault(vpn, tid, prefer_tier=prefer_tier)
-                mapped += 1
-        return mapped
+    def populate(self, vma: Vma, tids: np.ndarray, *, prefer_tier: int = 0) -> int:
+        """Fault in every unmapped page of ``vma`` in one array pass.
+
+        ``tids[i]`` is the thread that first touches page
+        ``vma.start_vpn + i`` and so owns its PTE (§3.4).  Frames, store
+        rows, PTE words, leaf links and counters end up exactly as
+        :meth:`fault` on each unmapped vpn in ascending order leaves
+        them (DESIGN.md §5), with one difference: capacity is checked
+        first, so when the tiers cannot cover the VMA
+        :class:`~repro.mm.frame_alloc.OutOfFramesError` is raised before
+        anything is mapped.  Returns the number of pages mapped.
+        """
+        proc = self.process
+        home = proc.vma_for(vma.start_vpn)
+        if home is None or vma.end_vpn > home.end_vpn:
+            raise KeyError(f"segfault: {vma} not inside one VMA of pid {proc.pid}")
+        tids = np.asarray(tids, dtype=np.int64)
+        if tids.shape != (vma.n_pages,):
+            raise ValueError(f"need one tid per page: {tids.shape} for {vma.n_pages} pages")
+        repl = proc.repl
+        flat = repl.flat
+        vpns = vma.vpns()
+        idx = vpns - flat.base
+        covered = (idx >= 0) & (idx < flat.pfn.size)
+        unmapped = np.ones(vpns.size, dtype=bool)
+        unmapped[covered] = flat.pfn[idx[covered]] < 0
+        vpns, tids = vpns[unmapped], tids[unmapped]
+        if vpns.size == 0:
+            return 0
+        repl.check_fault_tids(tids)
+        pfns = self.allocator.allocate_pfns(vpns.size, prefer_tier)
+        self.allocator.store.attach_rows(pfns, proc.pid, vpns)
+        repl.handle_faults(vpns, tids, pfns)
+        self.major_faults += int(vpns.size)
+        return int(vpns.size)
 
     def record_batch(self, vpns: np.ndarray, is_write: np.ndarray, tid: int, cycle: int = 0) -> tuple[int, int]:
         """Account a batch of accesses against frame counters.

@@ -78,6 +78,23 @@ class FreeFrameList:
             return self._virgin_next + idx
         return self._recycled[idx - n_virgin]
 
+    def popleft_many(self, n: int) -> np.ndarray:
+        """``n`` successive :meth:`popleft` results as one int64 array:
+        virgin frames ascending, then recycled frames FIFO."""
+        if n > len(self):
+            raise IndexError("pop from an empty free list")
+        n_virgin = min(n, self._virgin_end - self._virgin_next)
+        virgin = np.arange(self._virgin_next, self._virgin_next + n_virgin, dtype=np.int64)
+        self._virgin_next += n_virgin
+        n_recycled = n - n_virgin
+        if not n_recycled:
+            return virgin
+        recycled = self._recycled
+        taken = np.fromiter(
+            (recycled.popleft() for _ in range(n_recycled)), dtype=np.int64, count=n_recycled
+        )
+        return np.concatenate((virgin, taken))
+
     def popleft(self) -> int:
         if self._virgin_next < self._virgin_end:
             pfn = self._virgin_next
@@ -235,6 +252,41 @@ class FrameAllocator:
         store.tier_id[pfn] = tier.tier_id
         store.state[pfn] = STATE_FREE  # caller attaches
         return pfn
+
+    def allocate_pfns(self, n: int, tier_id: int) -> np.ndarray:
+        """``n`` successive ``allocate_pfn(tier_id, fallback=True)``
+        calls in one array pass.
+
+        Same frames in the same order: ``tier_id``'s free list first
+        (virgin ascending, then recycled FIFO) and, from the fast tier,
+        the slow tier's once it runs dry (the slow tier never falls
+        back to the fast one).  Unlike the scalar loop, which would fail
+        part way through, the whole request is checked against free
+        capacity first: when the tiers cannot cover ``n`` frames,
+        :class:`OutOfFramesError` is raised and nothing is taken.
+        """
+        tier = self.tiers[tier_id]
+        take = min(n, tier.free)
+        spill = n - take
+        if spill and not (tier_id == 0 and self.tiers[1].free >= spill):
+            raise OutOfFramesError(
+                f"tier {tier_id} has {tier.free} free frames, {n} requested"
+            )
+        pfns = tier.free_list.popleft_many(take)
+        if spill:
+            pfns = np.concatenate((pfns, self.tiers[1].free_list.popleft_many(spill)))
+        store = self.store
+        # Grow the store exactly as the scalar calls would, one
+        # ensure(pfn + 1) per first frame past the materialized prefix
+        # (same final capacity, so same column footprint).
+        beyond = np.flatnonzero(pfns >= store.capacity)
+        while beyond.size:
+            store.ensure(int(pfns[beyond[0]]) + 1)
+            beyond = beyond[pfns[beyond] >= store.capacity]
+        store.in_free_list[pfns] = False
+        store.tier_id[pfns] = pfns >= self._fast_frames
+        store.state[pfns] = STATE_FREE  # caller attaches
+        return pfns
 
     def allocate(self, tier_id: int, *, fallback: bool = False) -> PhysPage:
         """Take a free frame from ``tier_id``.

@@ -278,6 +278,15 @@ class PageStatsStore:
         self.tids_lo[dest] = self.tids_lo[src]
         self.tids_hi[dest] = self.tids_hi[src]
 
+    def attach_rows(self, pfns: np.ndarray, pid: int, vpns: np.ndarray) -> None:
+        """Bind fresh FREE frames to ``(pid, vpns)`` in one scatter —
+        :meth:`PhysPage.attach` over arrays."""
+        if (self.state[pfns] != STATE_FREE).any():
+            raise ValueError("attach_rows needs FREE frames")
+        self.pid[pfns] = pid
+        self.vpn[pfns] = vpns
+        self.state[pfns] = STATE_MAPPED
+
     def detach_row(self, pfn: int) -> None:
         """Unbind a frame and reset per-mapping statistics."""
         self.pid[pfn] = NONE_SENTINEL

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
+import numpy as np
+
 from repro.mm import pte as pte_mod
 
 #: Radix bits per level and derived masks.
@@ -136,6 +138,31 @@ class PageTable:
             raise ValueError(f"vpn {vpn} already mapped")
         leaf.entries[idx] = pte_value
         self.mapped_count += 1
+
+    def map_many(self, vpns: np.ndarray, values: np.ndarray) -> None:
+        """:meth:`map` over ascending, unique ``vpns``.
+
+        Leaves are walked (and created) in ascending order, as the
+        scalar loop would, and each one is filled with a single
+        ``entries.update``.
+        """
+        n = int(vpns.size)
+        if n == 0:
+            return
+        cuts = (np.flatnonzero(np.diff(vpns >> LEVEL_BITS)) + 1).tolist()
+        slots = (vpns & _LEVEL_MASK).tolist()
+        words = values.tolist()
+        for s, e in zip([0, *cuts], [*cuts, n]):
+            leaf = self._walk_to_leaf(int(vpns[s]), create=True)
+            assert leaf is not None
+            entries = leaf.entries
+            idx = slots[s:e]
+            for i in entries.keys() & idx:
+                existing = entries[i]
+                if isinstance(existing, int) and pte_mod.pte_is_present(existing):
+                    raise ValueError(f"vpn {int(vpns[s]) - slots[s] + i} already mapped")
+            entries.update(zip(idx, words[s:e]))
+        self.mapped_count += n
 
     def unmap(self, vpn: int) -> int:
         """Remove the PTE for ``vpn`` and return its last value."""

@@ -20,12 +20,15 @@ Bit layout::
 
 Everything here is pure integer arithmetic on Python ints so PTEs can be
 stored compactly and compared for exact equality across replicated
-tables.
+tables; :func:`pte_make_array` encodes demand-fault words as an int64
+array for bulk population.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
+
+import numpy as np
 
 PTE_PRESENT = 1 << 0
 PTE_WRITE = 1 << 1
@@ -103,6 +106,22 @@ def pte_make(
     if shadowed:
         value |= PTE_SHADOW
     return value
+
+
+def pte_make_array(pfns: np.ndarray, tids: np.ndarray) -> np.ndarray:
+    """The words a demand fault installs, as an int64 array.
+
+    Element ``i`` equals ``pte_make(pfns[i], tids[i], writable=True,
+    accessed=True)``; the widest word (tid 0x7F, 40-bit pfn) stays below
+    bit 59, so int64 holds every encodable entry.
+    """
+    pfns = np.asarray(pfns, dtype=np.int64)
+    tids = np.asarray(tids, dtype=np.int64)
+    if pfns.size and (int(pfns.min()) < 0 or int(pfns.max()) >= 1 << _PFN_BITS):
+        raise ValueError(f"pfn out of range for {_PFN_BITS}-bit field")
+    if tids.size and (int(tids.min()) < 0 or int(tids.max()) > PTE_SHARED_TID):
+        raise ValueError(f"tid out of range for {_TID_BITS}-bit field")
+    return (pfns << _PFN_SHIFT) | (tids << _TID_SHIFT) | (PTE_PRESENT | PTE_WRITE | PTE_ACCESSED)
 
 
 def pte_decode(value: int) -> Pte:

@@ -51,19 +51,21 @@ class FlatPteMirror:
         self.value = np.zeros(0, dtype=np.int64)
         self._present_cache: np.ndarray | None = None
 
-    def _ensure(self, vpn: int) -> None:
-        """Grow the arrays to cover ``vpn`` (amortized, pad on both sides)."""
-        if self.pfn.size and self.base <= vpn < self.base + self.pfn.size:
+    def _ensure(self, vpn: int, last: int | None = None) -> None:
+        """Grow the arrays to cover ``vpn`` (through ``last`` when given;
+        amortized, pad on both sides)."""
+        last = vpn if last is None else last
+        if self.pfn.size and self.base <= vpn and last < self.base + self.pfn.size:
             return
         if self.pfn.size == 0:
             new_base = max(vpn - 64, 0)
             new_size = self._GROW_PAD
-            while vpn >= new_base + new_size:
+            while last >= new_base + new_size:
                 new_size *= 2
             old = None
         else:
             lo = min(self.base, vpn)
-            hi = max(self.base + self.pfn.size, vpn + 1)
+            hi = max(self.base + self.pfn.size, last + 1)
             new_base = max(lo - 64, 0)
             new_size = max(hi - new_base + self._GROW_PAD, 2 * self.pfn.size)
             old = (self.base, self.pfn, self.owner, self.dirty, self.value)
@@ -90,6 +92,18 @@ class FlatPteMirror:
         self.owner[i] = owner
         self.dirty[i] = dirty
         self.value[i] = raw
+
+    def set_many(self, vpns: np.ndarray, pfns: np.ndarray, owners: np.ndarray, raws: np.ndarray) -> None:
+        """:meth:`set` (clean entries) over ascending ``vpns`` in one scatter."""
+        if vpns.size == 0:
+            return
+        self._ensure(int(vpns[0]), int(vpns[-1]))
+        i = vpns - self.base
+        self.pfn[i] = pfns
+        self.owner[i] = owners
+        self.dirty[i] = False
+        self.value[i] = raws
+        self._present_cache = None
 
     def set_owner(self, vpn: int, owner: int) -> None:
         i = vpn - self.base
@@ -215,6 +229,47 @@ class ReplicatedPageTables:
             self._link_leaf(vpn, tid)
             self.stats.private_faults += 1
         return value
+
+    def check_fault_tids(self, tids: np.ndarray) -> None:
+        """Raise ``KeyError`` unless every tid in ``tids`` may own a
+        fault (registered; any tid when replication is off)."""
+        if not self.enabled or tids.size == 0:
+            return
+        lo, hi = int(tids.min()), int(tids.max())
+        if lo < 0 or hi > PTE_MAX_TID:
+            raise KeyError(f"tid {lo if lo < 0 else hi} not registered")
+        unknown = set(np.flatnonzero(np.bincount(tids)).tolist()) - self.thread_tables.keys()
+        if unknown:
+            raise KeyError(f"tid {min(unknown)} not registered")
+
+    def handle_faults(self, vpns: np.ndarray, tids: np.ndarray, pfns: np.ndarray) -> np.ndarray:
+        """:meth:`handle_fault` for each ``(vpn, tid, pfn)``, as arrays.
+
+        ``vpns`` must be ascending, unique and unmapped, and ``tids``
+        must already have passed :meth:`check_fault_tids` (the caller
+        checks before it takes frames, so a bad tid changes nothing).
+        The entries, counters and leaf links end up exactly as the
+        scalar calls in that order leave them: each leaf table gets one
+        bulk update, and each (leaf, tid) pair is linked once, in
+        first-touch order.  Returns the PTE words installed.
+        """
+        owners = tids if self.enabled else np.full(vpns.size, PTE_SHARED_TID, dtype=np.int64)
+        values = pte_mod.pte_make_array(pfns, owners)
+        self.process_table.map_many(vpns, values)
+        self.flat.set_many(vpns, pfns, owners, values)
+        if self.enabled:
+            # First touch of each (leaf, tid) pair: the head of each run
+            # of equal keys after a stable sort, back in vpn order.
+            pairs = (vpns >> LEVEL_BITS) * (PTE_SHARED_TID + 1) + tids
+            by_pair = np.argsort(pairs, kind="stable")
+            keys = pairs[by_pair]
+            heads = np.ones(keys.size, dtype=bool)
+            heads[1:] = keys[1:] != keys[:-1]
+            first = np.sort(by_pair[heads])
+            for vpn, tid in zip(vpns[first].tolist(), tids[first].tolist()):
+                self._link_leaf(vpn, tid)
+            self.stats.private_faults += int(vpns.size)
+        return values
 
     def note_access(self, vpn: int, tid: int) -> bool:
         """Record that ``tid`` touched ``vpn``; promote to shared if a

@@ -51,18 +51,29 @@ class _PidHeat:
         self.min_live = np.inf
 
     def ensure(self, lo: int, hi: int) -> None:
-        """Grow arrays to cover vpns in ``[lo, hi]``."""
-        if self.heat.size and self.base <= lo and hi < self.base + self.heat.size:
+        """Grow arrays to cover vpns in ``[lo, hi]``.
+
+        Growth headroom goes on the side that grew: a quarter of the
+        covered span (at least :data:`_GROW_PAD`) below the new low end
+        when the request lies below ``base``, above the new high end
+        when it lies past the top.  Each growth extends the array by at
+        least a quarter, so repeated growth stays amortized O(1) per
+        vpn.  Unused headroom on either side is at most a quarter of
+        the size plus a pad, so the size stays within twice the touched
+        span plus four pads whatever order the vpns arrive in.
+        """
+        end = self.base + self.heat.size
+        if self.heat.size and self.base <= lo and hi < end:
             return
         if self.heat.size == 0:
             new_base = max(lo - 64, 0)
             new_size = max(hi - new_base + _GROW_PAD, _GROW_PAD)
             old = None
         else:
-            span_lo = min(self.base, lo)
-            span_hi = max(self.base + self.heat.size, hi + 1)
-            new_base = max(span_lo - 64, 0)
-            new_size = max(span_hi - new_base + _GROW_PAD, 2 * self.heat.size)
+            headroom = max((max(end, hi + 1) - min(self.base, lo)) // 4, _GROW_PAD)
+            new_base = max(lo - headroom, 0) if lo < self.base else self.base
+            new_end = hi + 1 + headroom if hi >= end else end
+            new_size = new_end - new_base
             old = (self.base, self.heat, self.live)
         heat = np.zeros(new_size, dtype=np.float64)
         live = np.zeros(new_size, dtype=bool)

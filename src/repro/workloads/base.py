@@ -251,15 +251,15 @@ class Workload:
         """Return (vpns, is_write) for one thread's epoch traffic."""
         raise NotImplementedError
 
-    def first_touch_tid(self, offset: int) -> int:
-        """Which thread demand-faults page ``offset`` of the VMA in.
+    def first_touch_tids(self, offsets: np.ndarray) -> np.ndarray:
+        """Which thread demand-faults each page ``offsets[i]`` of the VMA in.
 
         First touch sets PTE ownership (§3.4), so this must reflect the
         application's real initialization pattern: data-parallel apps
         fault their own shards in; shared structures are touched by
         whichever thread gets there first (modeled round-robin).
         """
-        return offset % self.spec.n_threads
+        return np.asarray(offsets, dtype=np.int64) % self.spec.n_threads
 
     # -- metadata the harness/policies may query ---------------------------------
 

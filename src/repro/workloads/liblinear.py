@@ -91,13 +91,14 @@ class LiblinearWorkload(Workload):
         writes = np.concatenate([scan_writes, feat_writes])
         return vpns, writes
 
-    def first_touch_tid(self, offset: int) -> int:
+    def first_touch_tids(self, offsets: np.ndarray) -> np.ndarray:
         """Shards are faulted in by their training thread; the shared
         feature region by whichever thread initializes it (round-robin)."""
-        if offset < self._feature_pages:
-            return offset % self.spec.n_threads
-        shard_pages = max(self._data_pages // self.spec.n_threads, 1)
-        return min((offset - self._feature_pages) // shard_pages, self.spec.n_threads - 1)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        n_threads = self.spec.n_threads
+        shard_pages = max(self._data_pages // n_threads, 1)
+        shard_tid = np.minimum((offsets - self._feature_pages) // shard_pages, n_threads - 1)
+        return np.where(offsets < self._feature_pages, offsets % n_threads, shard_tid)
 
     def write_fraction(self) -> float:
         return self.feature_access_frac * self.feature_write_fraction

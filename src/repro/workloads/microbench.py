@@ -62,12 +62,14 @@ class MicrobenchWorkload(Workload):
         writes = rng.random(n) >= self.read_ratio
         return vpns, writes
 
-    def first_touch_tid(self, offset: int) -> int:
+    def first_touch_tids(self, offsets: np.ndarray) -> np.ndarray:
         """Private mode: each thread faults in its own WSS slice."""
+        offsets = np.asarray(offsets, dtype=np.int64)
+        n_threads = self.spec.n_threads
         if self.shared_threads:
-            return offset % self.spec.n_threads
-        slice_pages = max(self._wss // self.spec.n_threads, 1)
-        return min(offset // slice_pages, self.spec.n_threads - 1)
+            return offsets % n_threads
+        slice_pages = max(self._wss // n_threads, 1)
+        return np.minimum(offsets // slice_pages, n_threads - 1)
 
     def write_fraction(self) -> float:
         return 1.0 - self.read_ratio

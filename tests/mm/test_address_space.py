@@ -80,15 +80,16 @@ def test_rss_tracks_faulted_pages():
     space, proc, _ = make_space()
     vma = proc.mmap(6)
     assert proc.rss_pages == 0
-    space.populate(vma, tid=0)
+    space.populate(vma, np.zeros(6, dtype=np.int64))
     assert proc.rss_pages == 6
 
 
 def test_populate_idempotent():
     space, proc, _ = make_space()
     vma = proc.mmap(4)
-    assert space.populate(vma, tid=0) == 4
-    assert space.populate(vma, tid=0) == 0
+    tids = np.arange(4) % 2
+    assert space.populate(vma, tids) == 4
+    assert space.populate(vma, tids) == 0
 
 
 def test_record_batch_tier_split():

@@ -1,5 +1,6 @@
 """PTE bitfield codec, including round-trip property tests."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -91,3 +92,23 @@ def test_repoint_never_disturbs_other_fields(pfn1, pfn2, tid):
     v = P.pte_make(pfn=pfn1, tid=tid, dirty=True, accessed=True)
     v2 = P.pte_with_pfn(v, pfn2)
     assert P.pte_decode(v2)._replace(pfn=pfn1) == P.pte_decode(v)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, (1 << 40) - 1), st.integers(0, P.PTE_SHARED_TID)),
+        max_size=50,
+    )
+)
+def test_make_array_matches_scalar_fault_words(entries):
+    pfns = np.array([p for p, _ in entries], dtype=np.int64)
+    tids = np.array([t for _, t in entries], dtype=np.int64)
+    words = P.pte_make_array(pfns, tids).tolist()
+    assert words == [P.pte_make(p, t, writable=True, accessed=True) for p, t in entries]
+
+
+def test_make_array_rejects_out_of_range_fields():
+    with pytest.raises(ValueError):
+        P.pte_make_array(np.array([1 << 40]), np.array([0]))
+    with pytest.raises(ValueError):
+        P.pte_make_array(np.array([0]), np.array([P.PTE_SHARED_TID + 1]))
