@@ -7,18 +7,45 @@ and unmapping, ③ TLB shootdown via IPIs, ④ content copy between tiers,
 costs come from the calibrated :class:`MigrationCostModel`, so both the
 mechanism's behaviour and its price are observable.
 
-Three copy disciplines are implemented:
+Every migration runs through one executor,
+:meth:`MigrationEngine.migrate_batch` (a single page is a batch of
+one).  Each request takes one of three routes (paper §3.5, Table 1):
 
-* **sync** — the classic blocking path (TPP promotion): application
-  threads accessing the page stall for the whole operation.
-* **async** — kswapd-style background migration (Memtis): off the
-  critical path, but the page is unmapped during copy, so concurrent
-  accesses fault-stall for the tail of the copy.
-* **transactional** — Nomad/Vulcan: the page *stays mapped* during the
-  copy; a write during the copy window dirties the destination stale and
-  the transaction retries, up to a bound, then falls back to sync.  This
-  is what makes async copying lose on write-intensive pages (paper
-  Observation #4 / Fig. 4).
+* **sync** — the blocking path (TPP promotion, Vulcan's write-intensive
+  pages): unmap → shootdown → copy → remap, and threads touching the
+  page stall from the shootdown on.
+* **transactional** (``sync=False``) — Nomad/Vulcan: the page *stays
+  mapped* during the copy; a write during the copy window dirties the
+  destination and the transaction retries, up to a bound, then falls
+  back to sync.  Only the commit window stalls.  This is what makes
+  async copying lose on write-intensive pages (paper Observation #4 /
+  Fig. 4).
+* **remap-only demotion** — a clean fast page whose slow-tier shadow is
+  still retained is demoted by repointing its PTE at the shadow; no
+  copy is paid.
+
+The executor's contract:
+
+* *One sequential pass.*  Cost charges (one float add per charge, in
+  phase order), RNG draws, fault rolls, free-list pops and appends, LRU
+  and shadow bookkeeping, and radix PTE stores run in request order.
+  Per-frame store rows and the flat PTE mirror are written once per
+  batch as grouped numpy scatters.
+* *Repeated vpns are rejected.*  A batch naming a vpn twice raises
+  ``ValueError`` before any state changes; unique vpns are what make
+  the rows the scatters write pairwise disjoint.
+* *Faults draw on the injector's own stream.*  With a
+  ``fault_injector`` attached, ``POISONED_SHADOW``, ``ABORTED_SYNC``
+  and ``LOST_ASYNC`` are rolled at fixed points of a move; the engine's
+  RNG is never touched by them.  A faulted move's destination frame
+  goes back to the tail of its free list.  No injector, no draws.
+* *Frees are guarded.*  Every frame a batch frees is checked once per
+  batch against the free-list bitmap, as :meth:`FrameAllocator.free`
+  checks one frame.
+* *Observability emits, never selects.*  Tracing adds per-charge phase
+  events, clock advances, shootdown events and the ``migrate_batch``
+  span; metrics add counters.  Neither changes which code runs or what
+  it computes.
 
 Vulcan's two mechanism optimizations are flags:
 
@@ -39,14 +66,13 @@ import numpy as np
 from repro.machine.platform import Machine
 from repro.mm import pte as pte_mod
 from repro.mm.address_space import AddressSpace
-from repro.mm.frame_alloc import FrameAllocator, OutOfFramesError
+from repro.mm.frame_alloc import FrameAllocator
 from repro.mm.lru import LruSubsystem
 from repro.mm.migration_costs import MigrationCostModel
 from repro.mm.page_store import (
     NONE_SENTINEL,
     STATE_FREE,
     STATE_MAPPED,
-    STATE_MIGRATING,
     STATE_SHADOW,
 )
 from repro.mm.page_table import LEVEL_BITS
@@ -152,9 +178,6 @@ class OptimizationFlags:
 #: Cost of the kernel trap / syscall entry for a migration call.
 TRAP_CYCLES = 600.0
 
-#: Outcomes after which the move commits (everything but FAILED).
-_OK_OUTCOMES = (MigrationOutcome.SUCCESS, MigrationOutcome.RETRIED, MigrationOutcome.FELL_BACK_SYNC)
-
 #: Precomputed phase-key strings (enum ``.value`` lookups were hot).
 _PREP_KEY = MigrationPhase.PREP.value
 _TRAP_KEY = MigrationPhase.TRAP.value
@@ -192,6 +215,10 @@ class MigrationEngine:
         self.stats = MigrationStats()
         self._tracer = get_tracer()
         self._store = allocator.store
+        self._repl = space.process.repl
+        self._cpu = machine.cpu
+        #: per-thread shootdown scoping needs replicated page tables
+        self._scoped = self.flags.opt_tlb and self._repl.enabled
         # Per-page cost constants.  Recomputing the batch formulas for
         # one page every call produced the same floats (the models are
         # pure), so hoisting them preserves bit-identical accounting.
@@ -199,7 +226,6 @@ class MigrationEngine:
         self._unmap1 = self._fixed1 * 0.55
         self._remap1 = self._fixed1 * 0.45
         self._copy1 = self.costs.batch_copy_cycles(1)
-        self._half_copy1 = self._copy1 * 0.5
         self._prep_cost = (
             self.costs.prep_opt_cycles(self.flags.prep_scope_cpus)
             if self.flags.opt_prep
@@ -223,31 +249,31 @@ class MigrationEngine:
 
     # -- phase helpers -------------------------------------------------------
 
-    def _charge(self, phase: MigrationPhase, cycles: float) -> None:
-        self._charge_key(phase.value, cycles)
-
     def _charge_key(self, key: str, cycles: float) -> None:
-        """Charge a phase cost and, when tracing, emit it as an event.
+        """Charge a batch-level phase cost (trap, prep) and trace it."""
+        st = self.stats
+        st.phase_cycles[key] += cycles
+        st.total_cycles += cycles
+        if self._tracer.enabled:
+            self._emit_phase(key, cycles)
+
+    def _emit_phase(self, key: str, cycles: float) -> None:
+        """Trace one phase charge as an event and a cycle counter.
 
         The tracer's cycle clock advances by the charge so phase events
         and spans nest on the deterministic simulated timeline.
         """
-        st = self.stats
-        st.phase_cycles[key] += cycles
-        st.total_cycles += cycles
         tracer = self._tracer
-        if tracer.enabled:
-            tracer.emit(
-                EventKind.MIGRATION_PHASE,
-                key,
-                pid=self.space.process.pid,
-                dur=cycles,
-                args={"phase": key, "cycles": cycles},
-            )
-            tracer.advance(cycles)
-            tracer.metrics.counter(
-                "migration_phase_cycles", workload=self.space.process.pid, phase=key
-            ).inc(cycles)
+        pid = self.space.process.pid
+        tracer.emit(
+            EventKind.MIGRATION_PHASE,
+            key,
+            pid=pid,
+            dur=cycles,
+            args={"phase": key, "cycles": cycles},
+        )
+        tracer.advance(cycles)
+        tracer.metrics.counter("migration_phase_cycles", workload=pid, phase=key).inc(cycles)
 
     def _prepare(self, n_pages: int) -> float:
         """Phase 0: LRU drain + isolation (the Fig. 2 'preparation')."""
@@ -258,21 +284,23 @@ class MigrationEngine:
             self.lru.drain(None)
         return self._prep_cost
 
-    def _shootdown(self, vpn: int) -> tuple[float, int]:
+    def _shootdown(self, vpn: int) -> float:
         """Phase ③: resolve scope, deliver IPIs, invalidate TLBs.
 
-        Returns ``(model_cycles, n_target_cpus)``.  The structural IPI
-        cost is folded into the model cost (the model is calibrated to
-        end-to-end measurements that already include it).
+        Returns the model cycles.  The structural IPI cost is folded
+        into the model cost (the model is calibrated to end-to-end
+        measurements that already include it).
 
-        With tracing off, the scope is resolved through the cached fast
-        paths and the structural effects (IPI stats, TLB entry pops) are
-        applied directly — identical state to the event-emitting path.
+        With tracing on, the scope is built as a :class:`ShootdownScope`
+        and run by :func:`execute_shootdown`, which emits the shootdown
+        event.  Otherwise it is resolved through the cached fast paths
+        and its effects (IPI stats, TLB entry pops) are applied
+        directly.  Both leave identical state.
         """
-        repl = self.space.process.repl
-        cpu = self.machine.cpu
+        repl = self._repl
+        cpu = self._cpu
         if self._tracer.enabled:
-            if self.flags.opt_tlb and repl.enabled:
+            if self._scoped:
                 scope = compute_scope(
                     repl, cpu, vpn, thread_core_map=self.thread_core_map
                 )
@@ -287,22 +315,19 @@ class MigrationEngine:
             execute_shootdown(cpu, scope)
             n_targets = max(scope.n_targets, 1)
         else:
-            if self.flags.opt_tlb and repl.enabled:
-                cores = self._scope_cores(repl, cpu, vpn)
-            else:
-                cores = self._process_wide_cores(repl, cpu)
+            cores = self._scope_cores(repl, cpu, vpn) if self._scoped else self._process_wide_cores(repl, cpu)
             if cores:
                 cpu.deliver_ipis(cores)
                 for core_id in cores:
                     tlb = cpu.cores[core_id].tlb
                     if tlb._map:
                         tlb.invalidate(vpn)
-            n_targets = max(len(cores), 1)
+            n_targets = len(cores) or 1
         cost = self._tlb1_cache.get(n_targets)
         if cost is None:
             cost = self.costs.batch_tlb_cycles(1, n_targets)
             self._tlb1_cache[n_targets] = cost
-        return (cost, n_targets)
+        return cost
 
     def _scope_cores(self, repl, cpu, vpn: int) -> tuple[int, ...]:
         """:func:`compute_scope`'s target cores, via the flat mirror."""
@@ -346,11 +371,31 @@ class MigrationEngine:
         self._pw_scope_cache = (len(tids), cores)
         return cores
 
-    def _alloc_dest(self, dest_tier: int) -> int | None:
-        try:
-            return self.allocator.allocate_pfn(dest_tier, fallback=False)
-        except OutOfFramesError:
-            return None
+    # -- injected faults ---------------------------------------------------------
+
+    def _roll_fault(self, kind: FaultKind, req: MigrationRequest) -> bool:
+        """Ask the attached injector whether this migration faults.
+
+        With no injector attached this is a pure branch — no RNG state
+        is consumed, preserving bit-identical fault-free runs.
+        """
+        inj = self.fault_injector
+        if inj is None or not inj.roll(kind, pid=req.pid, vpn=req.vpn):
+            return False
+        self.stats.faults_injected[kind.value] = (
+            self.stats.faults_injected.get(kind.value, 0) + 1
+        )
+        tracer = self._tracer
+        if tracer.enabled:
+            tracer.emit(
+                EventKind.FAULT_INJECTED,
+                kind.value,
+                pid=req.pid,
+                args={"kind": kind.value, "vpn": req.vpn, "dest_tier": req.dest_tier},
+            )
+        if tracer.metrics.enabled:
+            tracer.metrics.counter("faults_injected", workload=req.pid, kind=kind.value).inc()
+        return True
 
     # -- public API -----------------------------------------------------------
 
@@ -363,71 +408,40 @@ class MigrationEngine:
         """Migrate a batch; preparation is paid once per call, as in
         ``migrate_pages()``.
 
-        Dispatches to the fused (scatter-batched) implementation when
-        its preconditions hold, else to the per-page legacy loop.  Both
-        produce bit-identical state, stats and outcomes.
+        Raises ``ValueError``, before any state changes, when two
+        requests name the same vpn.
         """
         if not requests:
             return []
-        tracer = self._tracer
-        if tracer.enabled or tracer.metrics.enabled or self.fault_injector is not None:
-            return self._migrate_batch_legacy(requests)
-        # The fused path defers store writes into grouped scatters,
-        # which needs each move to act on rows no other move writes —
-        # guaranteed by unique vpns (sources are distinct pre-batch
-        # mappings, destinations distinct pops).  The one overlap —
-        # a frame freed by an earlier move and re-allocated by a later
-        # one — is handled by applying the detach scatter before the
-        # destination-row scatters.
         if len({r.vpn for r in requests}) != len(requests):
-            return self._migrate_batch_legacy(requests)
-        return self._migrate_batch_fused(requests)
-
-    def _migrate_batch_legacy(self, requests: list[MigrationRequest]) -> list[MigrationOutcome]:
-        """Per-page reference implementation (also the tracing path)."""
+            raise ValueError("migrate_batch: a batch may name each vpn at most once")
         with self._tracer.span(
             "migrate_batch", pid=self.space.process.pid, pages=len(requests)
         ):
-            self._charge_key(_TRAP_KEY, TRAP_CYCLES)
-            self._charge_key(_PREP_KEY, self._prepare(len(requests)))
+            return self._execute(requests)
 
-            outcomes: list[MigrationOutcome] = []
-            for req in requests:
-                outcomes.append(self._migrate_one(req))
-            self.stats.migrations += 1
-        return outcomes
+    def _execute(self, requests: list[MigrationRequest]) -> list[MigrationOutcome]:
+        """The executor: sequential bookkeeping, batched frame-store writes.
 
-    def _migrate_batch_fused(self, requests: list[MigrationRequest]) -> list[MigrationOutcome]:
-        """Batched :meth:`migrate_batch`: sequential bookkeeping, fused
-        frame-store writes.
-
-        Every order-sensitive effect — cost accounting (float adds in
-        the exact legacy order), RNG draws, free-list pops/appends, LRU
-        and shadow bookkeeping, radix PTE stores — runs in a sequential
-        loop exactly as the legacy path would.  The per-frame stats-store
-        and flat-mirror writes are deferred and applied as grouped numpy
-        scatters; the dispatcher guaranteed all written rows are
-        pairwise disjoint, so the scatter order cannot change the
-        result.
+        Every order-sensitive effect runs in one loop over the requests
+        (see the module docstring).  The per-frame stats-store and
+        flat-mirror writes are deferred and applied as grouped numpy
+        scatters; unique vpns make every written row belong to exactly
+        one move, so the scatter order cannot change the result.
         """
         st = self.stats
         self._charge_key(_TRAP_KEY, TRAP_CYCLES)
         self._charge_key(_PREP_KEY, self._prepare(len(requests)))
 
-        repl = self.space.process.repl
+        repl = self._repl
         flat = repl.flat
         store = self._store
-        cpu = self.machine.cpu
         fast_frames = store.fast_frames
         shadow = self.shadow
         lru_lists = self.lru.lists
         pt_update = repl.process_table.update
         tiers = self.allocator.tiers
-        opt_tlb = self.flags.opt_tlb and repl.enabled
         retry_limit = self.flags.async_retry_limit
-        tlb_cache = self._tlb1_cache
-        cores_of = self._scope_cores if opt_tlb else None
-        cpu_cores = cpu.cores
         pte_with_pfn = pte_mod.pte_with_pfn
         pte_clear_flag = pte_mod.pte_clear_flag
         pte_set_flag = pte_mod.pte_set_flag
@@ -436,6 +450,12 @@ class MigrationEngine:
         PTE_DIRTY = pte_mod.PTE_DIRTY
         PTE_SHADOW = pte_mod.PTE_SHADOW
         rng_random = self.rng.random
+        # None when no injector is attached: no fault is ever rolled.
+        roll = self._roll_fault if self.fault_injector is not None else None
+        shootdown = self._shootdown
+        tracer = self._tracer
+        emit = self._emit_phase if tracer.enabled else None
+        metrics = tracer.metrics if tracer.metrics.enabled else None
 
         # One vectorized translate for the whole batch (identical to a
         # value_of() per request: the mirror is only mutated at apply
@@ -454,8 +474,8 @@ class MigrationEngine:
             val_l = [0] * n
 
         # Float accumulators: locals holding the running bucket values,
-        # updated with the same sequence of binary adds the legacy
-        # per-page charges perform, written back once at the end.
+        # updated with one binary add per charge, written back once at
+        # the end.
         pc = st.phase_cycles
         unmap_acc = pc[_UNMAP_KEY]
         sd_acc = pc[_SHOOTDOWN_KEY]
@@ -467,22 +487,6 @@ class MigrationEngine:
         r1 = self._remap1
         c1 = self._copy1
 
-        def _sd(vpn: int) -> float:
-            """Fast-path shootdown: scope, IPIs, TLB pops, model cost."""
-            cores = cores_of(repl, cpu, vpn) if cores_of is not None else self._process_wide_cores(repl, cpu)
-            if cores:
-                cpu.deliver_ipis(cores)
-                for core_id in cores:
-                    tlb = cpu_cores[core_id].tlb
-                    if tlb._map:
-                        tlb.invalidate(vpn)
-            n_targets = len(cores) or 1
-            cost = tlb_cache.get(n_targets)
-            if cost is None:
-                cost = self.costs.batch_tlb_cycles(1, n_targets)
-                tlb_cache[n_targets] = cost
-            return cost
-
         # Deferred scatter groups.
         fin_vpn: list[int] = []; fin_pid: list[int] = []
         fin_src: list[int] = []; fin_dest: list[int] = []
@@ -491,8 +495,8 @@ class MigrationEngine:
         mir_vpn: list[int] = []; mir_pfn: list[int] = []
         mir_val: list[int] = []; mir_own: list[int] = []; mir_dirty: list[bool] = []
         keep_src: list[int] = []  # sources retained as shadow rows
-        det_src: list[int] = []   # sources fully detached (freed)
-        txn_src: list[int] = []   # transactional sources (dirty reset)
+        freed: list[int] = []     # frames detached and freed
+        txn_src: list[int] = []   # committed transactional sources (dirty reset)
 
         outcomes: list[MigrationOutcome] = []
         append_out = outcomes.append
@@ -506,108 +510,143 @@ class MigrationEngine:
                 st.failures += 1
                 append_out(FAILED)
                 continue
+            vpn = req.vpn
             dest_tier = req.dest_tier
             src_tier = 0 if src_pfn < fast_frames else 1
             if src_tier == dest_tier:
                 append_out(SUCCESS)
                 continue
 
-            if (
+            # Pick the route.  Each move that reaches the window below
+            # runs it exactly once; ``copy`` is what it copies (None:
+            # remap only).
+            remap = (
                 shadow is not None
                 and dest_tier == 1
                 and shadow.can_remap_demote(src_pfn, dirty=pte_is_dirty(value))
-            ):
-                # Remap-only demotion onto the retained slow-tier twin.
-                shadow_pfn = shadow.shadow_of(src_pfn)
-                unmap_acc += u1; total += u1
-                tlb_cycles = _sd(req.vpn)
-                sd_acc += tlb_cycles; total += tlb_cycles
-                remap_acc += r1; total += r1
+            )
+            if remap and roll is not None and roll(FaultKind.POISONED_SHADOW, req):
+                # The retained copy is corrupt: free it now (a later pop
+                # may reuse it) and fall back to a full-copy demotion.
+                remap = False
+                stale = shadow.poison(src_pfn)
+                if stale is not None:
+                    tiers[0 if stale < fast_frames else 1].free_list.append(stale)
+                    freed.append(stale)
+            if remap:
+                dest_pfn = shadow.shadow_of(src_pfn)
+                copy = None
+                outcome = SUCCESS
+            else:
+                # Allocate the destination (no fallback to the other tier).
+                dest_list = tiers[dest_tier].free_list
+                if not dest_list:
+                    st.failures += 1
+                    append_out(FAILED)
+                    continue
+                dest_pfn = dest_list.popleft()
+                if dest_pfn >= store.capacity:
+                    store.ensure(dest_pfn + 1)
+                if req.sync:
+                    if roll is not None and roll(FaultKind.ABORTED_SYNC, req):
+                        copy = c1 * 0.5  # dies half way through the copy
+                        outcome = FAILED
+                    else:
+                        copy = c1
+                        outcome = SUCCESS
+                else:
+                    if roll is not None and roll(FaultKind.LOST_ASYNC, req):
+                        # The background copy ran (no stall: the page
+                        # stayed mapped) but never committed.
+                        copy_acc += c1; total += c1
+                        if emit: emit(_COPY_KEY, c1)
+                        dest_list.append(dest_pfn)
+                        st.failures += 1
+                        append_out(FAILED)
+                        continue
+                    # Nomad-style transaction: a write inside a copy
+                    # window (Bernoulli, writes at rate·write_fraction
+                    # per kilocycle) aborts and retries the copy; past
+                    # the retry bound the write-blocking sync path takes
+                    # over.  Otherwise only the commit window stalls.
+                    txn_src.append(src_pfn)
+                    lam = req.access_rate_per_kcycle * req.write_fraction / 1_000.0
+                    p_dirty = 1.0 - float(np.exp(-lam * c1)) if lam > 0.0 else 0.0
+                    retries = 0
+                    copy = None
+                    outcome = SUCCESS
+                    while True:
+                        copy_acc += c1; total += c1
+                        if emit: emit(_COPY_KEY, c1)
+                        if lam <= 0.0 or not (rng_random() < p_dirty):
+                            break
+                        retries += 1
+                        st.retries += 1
+                        if retries > retry_limit:
+                            st.sync_fallbacks += 1
+                            copy = c1
+                            outcome = FELL_BACK
+                            break
+                        outcome = RETRIED
+
+            # The window: unmap → shootdown → [copy] → remap.  Threads
+            # touching the page stall from the shootdown to the remap.
+            unmap_acc += u1; total += u1
+            if emit: emit(_UNMAP_KEY, u1)
+            tlb_cycles = shootdown(vpn)
+            sd_acc += tlb_cycles; total += tlb_cycles
+            if emit: emit(_SHOOTDOWN_KEY, tlb_cycles)
+            if copy is None:
                 stall += tlb_cycles
-                nv = pte_clear_flag(pte_with_pfn(value, shadow_pfn), PTE_SHADOW)
-                pt_update(req.vpn, nv)
-                mir_vpn.append(req.vpn); mir_pfn.append(shadow_pfn)
+            else:
+                copy_acc += copy; total += copy
+                if emit: emit(_COPY_KEY, copy)
+                stall += tlb_cycles + copy
+            remap_acc += r1; total += r1
+            if emit: emit(_REMAP_KEY, r1)
+
+            if outcome is FAILED:
+                # Aborted sync: the PTE is restored at the untouched
+                # source.  The destination's row was never written, so
+                # the frame just rejoins its free list.
+                dest_list.append(dest_pfn)
+                st.failures += 1
+                append_out(FAILED)
+                continue
+
+            if remap:
+                # Remap-only demotion onto the retained slow-tier twin.
+                nv = pte_clear_flag(pte_with_pfn(value, dest_pfn), PTE_SHADOW)
+                pt_update(vpn, nv)
+                mir_vpn.append(vpn); mir_pfn.append(dest_pfn)
                 mir_val.append(nv); mir_own.append(pte_tid(nv)); mir_dirty.append(pte_is_dirty(nv))
-                sh_vpn.append(req.vpn); sh_pid.append(req.pid)
-                sh_src.append(src_pfn); sh_dst.append(shadow_pfn)
+                sh_vpn.append(vpn); sh_pid.append(req.pid)
+                sh_src.append(src_pfn); sh_dst.append(dest_pfn)
                 shadow.consume(src_pfn)
                 lsrc = lru_lists[0]
                 if src_pfn in lsrc:
                     lsrc.remove(src_pfn)
                 ldst = lru_lists[1]
-                if shadow_pfn not in ldst:
-                    ldst.insert(shadow_pfn)
+                if dest_pfn not in ldst:
+                    ldst.insert(dest_pfn)
                 tiers[src_tier].free_list.append(src_pfn)
-                det_src.append(src_pfn)
+                freed.append(src_pfn)
                 st.demotions += 1
                 st.pages_moved += 1
                 st.shadow_remaps += 1
                 append_out(SUCCESS)
                 continue
 
-            # Allocate the destination (fallback=False, as in _alloc_dest).
-            dest_list = tiers[dest_tier].free_list
-            if not dest_list:
-                st.failures += 1
-                append_out(FAILED)
-                continue
-            dest_pfn = dest_list.popleft()
-            if dest_pfn >= store.capacity:
-                store.ensure(dest_pfn + 1)
-
-            if req.sync:
-                unmap_acc += u1; total += u1
-                tlb_cycles = _sd(req.vpn)
-                sd_acc += tlb_cycles; total += tlb_cycles
-                copy_acc += c1; total += c1
-                remap_acc += r1; total += r1
-                stall += tlb_cycles + c1
-                outcome = SUCCESS
-            else:
-                txn_src.append(src_pfn)
-                lam = req.access_rate_per_kcycle * req.write_fraction / 1_000.0
-                retries = 0
-                outcome = SUCCESS
-                fell_back = False
-                if lam <= 0.0:
-                    copy_acc += c1; total += c1
-                else:
-                    p_dirty = 1.0 - float(np.exp(-lam * c1))
-                    while True:
-                        copy_acc += c1; total += c1
-                        if not (rng_random() < p_dirty):
-                            break
-                        retries += 1
-                        st.retries += 1
-                        if retries > retry_limit:
-                            st.sync_fallbacks += 1
-                            unmap_acc += u1; total += u1
-                            tlb_cycles = _sd(req.vpn)
-                            sd_acc += tlb_cycles; total += tlb_cycles
-                            copy_acc += c1; total += c1
-                            remap_acc += r1; total += r1
-                            stall += tlb_cycles + c1
-                            fell_back = True
-                            break
-                        outcome = RETRIED
-                if fell_back:
-                    outcome = FELL_BACK
-                else:
-                    unmap_acc += u1; total += u1
-                    tlb_cycles = _sd(req.vpn)
-                    sd_acc += tlb_cycles; total += tlb_cycles
-                    remap_acc += r1; total += r1
-                    stall += tlb_cycles
-
-            # Finalize (every non-FAILED full copy commits).
+            # Commit: repoint the PTE, move the row, release or shadow
+            # the source.
             keep_shadow = shadow is not None and dest_tier == 0 and src_tier == 1
             nv = pte_clear_flag(pte_with_pfn(value, dest_pfn), PTE_DIRTY)
             if keep_shadow:
                 nv = pte_set_flag(nv, PTE_SHADOW)
-            pt_update(req.vpn, nv)
-            mir_vpn.append(req.vpn); mir_pfn.append(dest_pfn)
+            pt_update(vpn, nv)
+            mir_vpn.append(vpn); mir_pfn.append(dest_pfn)
             mir_val.append(nv); mir_own.append(pte_tid(nv)); mir_dirty.append(pte_is_dirty(nv))
-            fin_vpn.append(req.vpn); fin_pid.append(req.pid)
+            fin_vpn.append(vpn); fin_pid.append(req.pid)
             fin_src.append(src_pfn); fin_dest.append(dest_pfn)
             lsrc = lru_lists[src_tier]
             if src_pfn in lsrc:
@@ -620,12 +659,16 @@ class MigrationEngine:
                 keep_src.append(src_pfn)
             else:
                 tiers[src_tier].free_list.append(src_pfn)
-                det_src.append(src_pfn)
+                freed.append(src_pfn)
             st.pages_moved += 1
             if dest_tier == 0:
                 st.promotions += 1
             else:
                 st.demotions += 1
+            if metrics is not None:
+                metrics.counter(
+                    "pages_moved", workload=req.pid, tier="fast" if dest_tier == 0 else "slow"
+                ).inc()
             append_out(outcome)
 
         pc[_UNMAP_KEY] = unmap_acc
@@ -637,12 +680,17 @@ class MigrationEngine:
         st.migrations += 1
 
         # -- apply deferred writes ---------------------------------------
-        # All source rows are pristine pre-batch rows (a frame freed
+        # Every source row is a pristine pre-batch row (a frame freed
         # in-batch can only be re-allocated as a destination, never read
         # as a source), so gather every src-carried column first, apply
         # the detach scatter, then rebuild destination rows — which
         # resolves freed-then-reallocated frames to their final (bound)
-        # row exactly as the legacy free-then-move_row sequence does.
+        # row.  Fault-returned destinations were never written.  A moved
+        # page carries its counters, heat and tid masks; its
+        # last_access_cycle, shadow_pfn and dirty_since_copy stay behind.
+        if freed:
+            d = np.array(freed, dtype=np.int64)
+            _check_frees(store, d)
         if sh_dst:
             sdst = np.array(sh_dst, dtype=np.int64)
             sh_heat = store.heat[np.array(sh_src, dtype=np.int64)]
@@ -656,8 +704,7 @@ class MigrationEngine:
             g_ew = store.epoch_writes[fsrc]
             g_lo = store.tids_lo[fsrc]
             g_hi = store.tids_hi[fsrc]
-        if det_src:
-            d = np.array(det_src, dtype=np.int64)
+        if freed:
             store.pid[d] = NONE_SENTINEL
             store.vpn[d] = NONE_SENTINEL
             store.state[d] = STATE_FREE
@@ -703,251 +750,13 @@ class MigrationEngine:
             flat.value[midx] = mir_val
         return outcomes
 
-    def _migrate_one(self, req: MigrationRequest) -> MigrationOutcome:
-        repl = self.space.process.repl
-        value = repl.value_of(req.vpn)
-        if value is None:
-            self.stats.failures += 1
-            return MigrationOutcome.FAILED
-        src_pfn = pte_mod.pte_pfn(value)
-        if self._store.tier_id[src_pfn] == req.dest_tier:
-            return MigrationOutcome.SUCCESS  # already there
 
-        # Shadow fast-path on demotion: a clean page that still has its
-        # slow-tier shadow can be "demoted" by a remap alone (§3.5).
-        if (
-            self.shadow is not None
-            and req.dest_tier == 1
-            and self.shadow.can_remap_demote(src_pfn, dirty=pte_mod.pte_is_dirty(value))
-        ):
-            if self._roll_fault(FaultKind.POISONED_SHADOW, req):
-                # The retained copy is corrupt: discard it and fall
-                # through to a full-copy demotion.
-                stale = self.shadow.poison(src_pfn)
-                if stale is not None:
-                    self.allocator.free(stale)
-            else:
-                return self._demote_via_shadow(req, value, src_pfn)
-
-        dest_pfn = self._alloc_dest(req.dest_tier)
-        if dest_pfn is None:
-            self.stats.failures += 1
-            return MigrationOutcome.FAILED
-
-        if req.sync and self._roll_fault(FaultKind.ABORTED_SYNC, req):
-            return self._abort_sync(req, dest_pfn)
-        if not req.sync and self._roll_fault(FaultKind.LOST_ASYNC, req):
-            return self._lose_async(req, src_pfn, dest_pfn)
-
-        if req.sync:
-            outcome = self._copy_sync(req, value, src_pfn, dest_pfn)
-        else:
-            outcome = self._copy_transactional(req, value, src_pfn, dest_pfn)
-
-        if outcome in _OK_OUTCOMES:
-            self._finalize_move(req, src_pfn, dest_pfn)
-        else:
-            self.allocator.free(dest_pfn)
-        return outcome
-
-    # -- copy disciplines -------------------------------------------------------
-
-    def _copy_sync(self, req: MigrationRequest, value: int, src_pfn: int, dest_pfn: int) -> MigrationOutcome:
-        """Blocking copy: unmap → shootdown → copy → remap; the app stalls."""
-        self._charge_key(_UNMAP_KEY, self._unmap1)
-        tlb_cycles, _ = self._shootdown(req.vpn)
-        self._charge_key(_SHOOTDOWN_KEY, tlb_cycles)
-        copy_cycles = self._copy1
-        self._charge_key(_COPY_KEY, copy_cycles)
-        self._charge_key(_REMAP_KEY, self._remap1)
-        # Everything after unmap is a stall for threads touching the page.
-        self.stats.stall_cycles += tlb_cycles + copy_cycles
-        return MigrationOutcome.SUCCESS
-
-    def _copy_transactional(self, req: MigrationRequest, value: int, src_pfn: int, dest_pfn: int) -> MigrationOutcome:
-        """Nomad-style transactional copy: page stays mapped during copy;
-        a concurrent write aborts and retries the transaction."""
-        store = self._store
-        store.state[src_pfn] = STATE_MIGRATING
-        copy_cycles = self._copy1
-        retries = 0
-        outcome = MigrationOutcome.SUCCESS
-        while True:
-            store.dirty_since_copy[src_pfn] = False
-            self._charge_key(_COPY_KEY, copy_cycles)
-            # Probability the page is written during this copy window.
-            dirtied = self._dirtied_during(copy_cycles, req)
-            if not dirtied and not store.dirty_since_copy[src_pfn]:
-                break
-            retries += 1
-            self.stats.retries += 1
-            if retries > self.flags.async_retry_limit:
-                # Give up: take the write-blocking sync path.
-                self.stats.sync_fallbacks += 1
-                self._copy_sync(req, value, src_pfn, dest_pfn)
-                store.state[src_pfn] = STATE_MAPPED
-                return MigrationOutcome.FELL_BACK_SYNC
-            outcome = MigrationOutcome.RETRIED
-        # Commit: brief write-protect window, scoped shootdown, remap.
-        self._charge_key(_UNMAP_KEY, self._unmap1)
-        tlb_cycles, _ = self._shootdown(req.vpn)
-        self._charge_key(_SHOOTDOWN_KEY, tlb_cycles)
-        self._charge_key(_REMAP_KEY, self._remap1)
-        # Only the commit window stalls the app.
-        self.stats.stall_cycles += tlb_cycles
-        store.state[src_pfn] = STATE_MAPPED
-        return outcome
-
-    def _dirtied_during(self, window_cycles: float, req: MigrationRequest) -> bool:
-        """Bernoulli draw: was the page written inside the copy window?
-
-        Writes arrive at ``rate * write_fraction`` per kilocycle; the
-        window survives clean with probability ``exp(-λ·w·window)``.
-        """
-        lam = req.access_rate_per_kcycle * req.write_fraction / 1_000.0
-        if lam <= 0.0:
-            return False
-        p_dirty = 1.0 - float(np.exp(-lam * window_cycles))
-        return bool(self.rng.random() < p_dirty)
-
-    # -- injected faults ---------------------------------------------------------
-
-    def _roll_fault(self, kind: FaultKind, req: MigrationRequest) -> bool:
-        """Ask the attached injector whether this migration faults.
-
-        With no injector attached this is a pure branch — no RNG state
-        is consumed, preserving bit-identical fault-free runs.
-        """
-        inj = self.fault_injector
-        if inj is None or not inj.roll(kind, pid=req.pid, vpn=req.vpn):
-            return False
-        self.stats.faults_injected[kind.value] = (
-            self.stats.faults_injected.get(kind.value, 0) + 1
-        )
-        tracer = self._tracer
-        if tracer.enabled:
-            tracer.emit(
-                EventKind.FAULT_INJECTED,
-                kind.value,
-                pid=req.pid,
-                args={"kind": kind.value, "vpn": req.vpn, "dest_tier": req.dest_tier},
-            )
-        if tracer.metrics.enabled:
-            tracer.metrics.counter("faults_injected", workload=req.pid, kind=kind.value).inc()
-        return True
-
-    def _abort_sync(self, req: MigrationRequest, dest_pfn: int) -> MigrationOutcome:
-        """A blocking migration dies mid-copy and unwinds.
-
-        The page was already unmapped and shot down, and roughly half
-        the copy ran before the abort — all of it stall — then the PTE
-        is restored at the source.  The source frame never changed
-        state, so restoring is remap cost only; page state is intact.
-        """
-        self._charge_key(_UNMAP_KEY, self._unmap1)
-        tlb_cycles, _ = self._shootdown(req.vpn)
-        self._charge_key(_SHOOTDOWN_KEY, tlb_cycles)
-        wasted_copy = self._half_copy1
-        self._charge_key(_COPY_KEY, wasted_copy)
-        self._charge_key(_REMAP_KEY, self._remap1)
-        self.stats.stall_cycles += tlb_cycles + wasted_copy
-        self.allocator.free(dest_pfn)
-        self.stats.failures += 1
-        return MigrationOutcome.FAILED
-
-    def _lose_async(self, req: MigrationRequest, src_pfn: int, dest_pfn: int) -> MigrationOutcome:
-        """A transactional work item is dropped before commit.
-
-        The copy ran in the background (full copy cycles wasted, no
-        stall — the page stayed mapped the whole time) but the commit
-        never happened: the destination is freed and the source simply
-        remains the live mapping.
-        """
-        store = self._store
-        store.state[src_pfn] = STATE_MIGRATING
-        self._charge_key(_COPY_KEY, self._copy1)
-        store.state[src_pfn] = STATE_MAPPED
-        self.allocator.free(dest_pfn)
-        self.stats.failures += 1
-        return MigrationOutcome.FAILED
-
-    # -- shadow demotion ---------------------------------------------------------
-
-    def _demote_via_shadow(self, req: MigrationRequest, value: int, src_pfn: int) -> MigrationOutcome:
-        """Demotion by remapping to the retained slow-tier shadow copy."""
-        assert self.shadow is not None
-        shadow_pfn = self.shadow.shadow_of(src_pfn)
-        assert shadow_pfn is not None
-        self._charge_key(_UNMAP_KEY, self._unmap1)
-        tlb_cycles, _ = self._shootdown(req.vpn)
-        self._charge_key(_SHOOTDOWN_KEY, tlb_cycles)
-        self._charge_key(_REMAP_KEY, self._remap1)
-        self.stats.stall_cycles += tlb_cycles
-
-        repl = self.space.process.repl
-        repl.update(req.vpn, pte_mod.pte_clear_flag(pte_mod.pte_with_pfn(value, shadow_pfn), pte_mod.PTE_SHADOW))
-        store = self._store
-        store.pid[shadow_pfn] = req.pid
-        store.vpn[shadow_pfn] = req.vpn
-        store.state[shadow_pfn] = STATE_MAPPED
-        store.heat[shadow_pfn] = store.heat[src_pfn]
-        self.shadow.consume(src_pfn)
-        if src_pfn in self.lru.lists[0]:
-            self.lru.lists[0].remove(src_pfn)
-        if shadow_pfn not in self.lru.lists[1]:
-            self.lru.lists[1].insert(shadow_pfn)
-        self.allocator.free(src_pfn)
-        self.stats.demotions += 1
-        self.stats.pages_moved += 1
-        self.stats.shadow_remaps += 1
-        return MigrationOutcome.SUCCESS
-
-    # -- commit -----------------------------------------------------------------
-
-    def _finalize_move(self, req: MigrationRequest, src_pfn: int, dest_pfn: int) -> None:
-        """Repoint the PTE, move metadata, release or shadow the source."""
-        repl = self.space.process.repl
-        value = repl.value_of(req.vpn)
-        assert value is not None
-        store = self._store
-        src_tier = int(store.tier_id[src_pfn])
-
-        keep_shadow = (
-            self.shadow is not None
-            and req.dest_tier == 0  # promotion
-            and src_tier == 1
-        )
-
-        new_value = pte_mod.pte_with_pfn(value, dest_pfn)
-        new_value = pte_mod.pte_clear_flag(new_value, pte_mod.PTE_DIRTY)
-        if keep_shadow:
-            new_value = pte_mod.pte_set_flag(new_value, pte_mod.PTE_SHADOW)
-        repl.update(req.vpn, new_value)
-
-        store.move_row(src_pfn, dest_pfn, req.pid, req.vpn)
-
-        # LRU relink.
-        if src_pfn in self.lru.lists[src_tier]:
-            self.lru.lists[src_tier].remove(src_pfn)
-        if dest_pfn not in self.lru.lists[req.dest_tier]:
-            self.lru.lists[req.dest_tier].insert(dest_pfn)
-
-        if keep_shadow:
-            assert self.shadow is not None
-            self.shadow.retain(fast_pfn=dest_pfn, shadow_pfn=src_pfn)
-            store.state[src_pfn] = STATE_SHADOW
-        else:
-            self.allocator.free(src_pfn)
-
-        self.stats.pages_moved += 1
-        if req.dest_tier == 0:
-            self.stats.promotions += 1
-        else:
-            self.stats.demotions += 1
-        metrics = self._tracer.metrics
-        if metrics.enabled:
-            metrics.counter(
-                "pages_moved",
-                workload=req.pid,
-                tier="fast" if req.dest_tier == 0 else "slow",
-            ).inc()
+def _check_frees(store, pfns: np.ndarray) -> None:
+    """:meth:`FrameAllocator.free`'s double-free guard over one batch:
+    no frame may already be on a free list or be freed twice."""
+    pfns = np.sort(pfns)
+    bad = pfns[store.in_free_list[pfns]]
+    if not bad.size:
+        bad = pfns[1:][pfns[1:] == pfns[:-1]]
+    if bad.size:
+        raise ValueError(f"double free of pfn {int(bad[0])}")

@@ -255,29 +255,6 @@ class PageStatsStore:
 
     # -- row lifecycle (attach/detach mirror PhysPage semantics) ---------
 
-    def move_row(self, src: int, dest: int, pid: int, vpn: int) -> None:
-        """Bind ``dest`` (a fresh FREE frame) and copy migration-carried
-        state from ``src`` — the fused equivalent of PhysPage attach +
-        the per-field copies the migration engine used to do one property
-        at a time.  ``last_access_cycle``, ``shadow_pfn`` and
-        ``dirty_since_copy`` deliberately do not transfer (they never
-        did).
-        """
-        self.pid[dest] = pid
-        self.vpn[dest] = vpn
-        self.state[dest] = STATE_MAPPED
-        self.heat[dest] = self.heat[src]
-        self.reads[dest] = self.reads[src]
-        self.writes[dest] = self.writes[src]
-        er = int(self.epoch_reads[src])
-        ew = int(self.epoch_writes[src])
-        self.epoch_reads[dest] = er
-        self.epoch_writes[dest] = ew
-        if er or ew:
-            self.touched[dest] = True
-        self.tids_lo[dest] = self.tids_lo[src]
-        self.tids_hi[dest] = self.tids_hi[src]
-
     def attach_rows(self, pfns: np.ndarray, pid: int, vpns: np.ndarray) -> None:
         """Bind fresh FREE frames to ``(pid, vpns)`` in one scatter —
         :meth:`PhysPage.attach` over arrays."""

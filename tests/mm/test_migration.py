@@ -10,9 +10,11 @@ from repro.mm.address_space import AddressSpace
 from repro.mm.frame_alloc import FrameAllocator
 from repro.mm.lru import LruSubsystem
 from repro.mm.migration import (
+    FaultKind,
     MigrationEngine,
     MigrationOutcome,
     MigrationRequest,
+    MigrationStats,
     OptimizationFlags,
 )
 from repro.mm.shadow import ShadowTracker
@@ -100,6 +102,41 @@ class TestBasicMoves:
         assert engine.stats.migrations == 1
         assert engine.stats.pages_moved == 4
 
+    def test_repeated_vpn_rejected_before_any_state_change(self):
+        engine, space, alloc, machine = build()
+        vma = fault_pages(space, 2, tier=1)
+        v0, v1 = vma.start_vpn, vma.start_vpn + 1
+
+        def snapshot():
+            return (
+                space.translate(v0), space.translate(v1),
+                alloc.free_frames(0), alloc.free_frames(1),
+                machine.cpu.ipi_stats.unicast_targets,
+            )
+
+        before = snapshot()
+        reqs = [
+            MigrationRequest(pid=1, vpn=v0, dest_tier=0),
+            MigrationRequest(pid=1, vpn=v1, dest_tier=0),
+            MigrationRequest(pid=1, vpn=v0, dest_tier=0, sync=False),
+        ]
+        with pytest.raises(ValueError, match="at most once"):
+            engine.migrate_batch(reqs)
+        assert snapshot() == before
+        assert engine.stats == MigrationStats()
+        assert engine.lru.drain_all_calls == 0
+
+    def test_double_free_guard_covers_batch_frees(self):
+        """A source frame already flagged free (corrupt state) is caught
+        by the batch's double-free check, as ``allocator.free`` would."""
+        engine, space, alloc, _ = build()
+        vma = fault_pages(space, 2, tier=1)
+        src = space.translate(vma.start_vpn + 1)
+        alloc.store.in_free_list[src] = True
+        reqs = [MigrationRequest(pid=1, vpn=v, dest_tier=0) for v in range(vma.start_vpn, vma.end_vpn)]
+        with pytest.raises(ValueError, match=f"double free of pfn {src}"):
+            engine.migrate_batch(reqs)
+
 
 class TestCopyDisciplines:
     def test_sync_copy_charges_stall(self):
@@ -138,9 +175,21 @@ class TestCopyDisciplines:
         assert engine.stats.pages_moved == 1
 
     def test_dirty_probability_zero_without_writes(self):
-        engine, _, _, _ = build()
-        req = MigrationRequest(pid=1, vpn=0, dest_tier=0, write_fraction=0.0, access_rate_per_kcycle=100.0)
-        assert not engine._dirtied_during(1e9, req)
+        """No writes: the copy window is never dirtied, so one copy
+        commits and no dirty draw is made, however busy the page."""
+        engine, space, _, _ = build()
+        vma = fault_pages(space, 1, tier=1)
+        rng_state = engine.rng.bit_generator.state
+        out = engine.migrate(
+            MigrationRequest(
+                pid=1, vpn=vma.start_vpn, dest_tier=0, sync=False,
+                write_fraction=0.0, access_rate_per_kcycle=100.0,
+            )
+        )
+        assert out is MigrationOutcome.SUCCESS
+        assert engine.stats.retries == 0
+        assert engine.stats.phase_cycles["copy"] == engine.costs.batch_copy_cycles(1)
+        assert engine.rng.bit_generator.state == rng_state
 
 
 class TestShadowing:
@@ -215,6 +264,19 @@ class TestOptimizationFlags:
         vma = fault_pages(space, 1, tier=1)
         engine.migrate(MigrationRequest(pid=1, vpn=vma.start_vpn, dest_tier=0))
         assert machine.cpu.ipi_stats.unicast_targets == 4
+
+
+class ScriptedFaults:
+    """Fault source firing exactly on the given ``(kind, vpn)`` pairs;
+    records every roll in order."""
+
+    def __init__(self, fire):
+        self.fire = set(fire)
+        self.rolls = []
+
+    def roll(self, kind, *, pid, vpn):
+        self.rolls.append((kind, vpn))
+        return (kind, vpn) in self.fire
 
 
 class TestFaultInjection:
@@ -298,3 +360,97 @@ class TestFaultInjection:
         unarmed = self._injector({})
         assert run(None) == run(unarmed)
         assert not unarmed.records
+
+    def test_batch_mixes_faults_and_reuses_unwound_frames(self):
+        """One batch with all three fault kinds among successes.  Frames
+        a fault hands back (an aborted or lost destination, a poisoned
+        shadow) are popped again later in the same batch, and every
+        frame the batch frees passes the double-free guard."""
+        engine, space, alloc, _ = build(fast=4, slow=6, shadow=True)
+        a = fault_pages(space, 1, tier=1).start_vpn
+        slow_vma = fault_pages(space, 4, tier=1)
+        b, c, d, z = range(slow_vma.start_vpn, slow_vma.end_vpn)
+        # Promote A with shadowing: its slow frame stays as a twin.
+        assert engine.migrate(MigrationRequest(pid=1, vpn=a, dest_tier=0)) is MigrationOutcome.SUCCESS
+        fast_vma = fault_pages(space, 2, tier=0)
+        x, y = range(fast_vma.start_vpn, fast_vma.end_vpn)
+        # One spare frame per tier, so unwound frames are reused.
+        assert alloc.free_frames(0) == 1 and alloc.free_frames(1) == 1
+        fast_spare = alloc.tiers[0].free_list[0]
+        slow_spare = alloc.tiers[1].free_list[0]
+        src = {v: space.translate(v) for v in (a, b, c, d, x, y, z)}
+        twin_a = engine.shadow.shadow_of(src[a])
+        assert twin_a is not None
+
+        faults = ScriptedFaults([
+            (FaultKind.ABORTED_SYNC, b),
+            (FaultKind.LOST_ASYNC, c),
+            (FaultKind.POISONED_SHADOW, a),
+        ])
+        engine.fault_injector = faults
+        outcomes = engine.migrate_batch([
+            MigrationRequest(pid=1, vpn=b, dest_tier=0),               # aborted: spare back
+            MigrationRequest(pid=1, vpn=c, dest_tier=0, sync=False),   # lost: spare back
+            MigrationRequest(pid=1, vpn=d, dest_tier=0),               # takes the spare
+            MigrationRequest(pid=1, vpn=a, dest_tier=1),               # poisoned: twin freed
+            MigrationRequest(pid=1, vpn=x, dest_tier=1),               # takes the twin
+            MigrationRequest(pid=1, vpn=z, dest_tier=0, sync=False),   # takes A's fast frame
+        ])
+
+        assert outcomes == [
+            MigrationOutcome.FAILED,
+            MigrationOutcome.FAILED,
+            MigrationOutcome.SUCCESS,
+            MigrationOutcome.SUCCESS,
+            MigrationOutcome.SUCCESS,
+            MigrationOutcome.SUCCESS,
+        ]
+        # Draw points: before any copy; A's poisoned shadow is rolled,
+        # then its fallback full copy rolls like any sync move.
+        assert faults.rolls == [
+            (FaultKind.ABORTED_SYNC, b),
+            (FaultKind.LOST_ASYNC, c),
+            (FaultKind.ABORTED_SYNC, d),
+            (FaultKind.POISONED_SHADOW, a),
+            (FaultKind.ABORTED_SYNC, a),
+            (FaultKind.ABORTED_SYNC, x),
+            (FaultKind.LOST_ASYNC, z),
+        ]
+        assert engine.stats.faults_injected == {
+            "aborted_sync": 1, "lost_async": 1, "poisoned_shadow": 1,
+        }
+        assert engine.stats.failures == 2
+        assert engine.stats.pages_moved == 1 + 4
+        # Copy cycles, charge by charge: A's earlier promotion, then B's
+        # half copy before the abort, C's wasted background copy, and
+        # one full copy each for D, A, X and Z.
+        full = engine.costs.batch_copy_cycles(1)
+        expected_copy = full
+        for charge in (full * 0.5, full, full, full, full, full):
+            expected_copy += charge
+        assert engine.stats.phase_cycles["copy"] == expected_copy
+        assert engine.stats.shadow_remaps == 0
+        assert engine.shadow.stats.poisoned == 1
+
+        # Faulted pages stayed put; the others landed on reused frames.
+        assert space.translate(b) == src[b]
+        assert space.translate(c) == src[c]
+        assert space.translate(d) == fast_spare
+        assert space.translate(a) == slow_spare
+        assert space.translate(x) == twin_a
+        assert space.translate(z) == src[a]
+        assert list(alloc.tiers[0].free_list) == [src[x]]
+        assert len(alloc.tiers[1].free_list) == 0
+
+        # Conservation: 7 mapped pages, D's and Z's slow twins, 1 free.
+        from repro.mm.page_store import STATE_FREE, STATE_MAPPED, STATE_SHADOW
+
+        state = alloc.store.state[:10]
+        assert int((state == STATE_MAPPED).sum()) == 7
+        assert int((state == STATE_SHADOW).sum()) == 2
+        assert int((state == STATE_FREE).sum()) == 1
+        assert sorted(engine.shadow.shadow_of(space.translate(v)) for v in (d, z)) == sorted(
+            [src[d], src[z]]
+        )
+        alloc.check_consistency()
+        alloc.store.check_row_invariants()

@@ -8,10 +8,13 @@ figure benchmarks are unaffected by observability.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from repro.harness import ColocationExperiment
 from repro.obs.trace import get_tracer
+from repro.scenario import run_scenario
 from repro.sim.config import SimulationConfig
 from repro.workloads.mixes import dilemma_pair
 
@@ -39,23 +42,47 @@ def test_same_seed_traced_runs_emit_identical_streams():
     assert first == second  # TraceEvent is a frozen dataclass: deep equality
 
 
-def test_tracing_does_not_change_results():
-    plain = run_once()
+def _observed(fn, mode: str):
+    """Run ``fn`` with full tracing (``"trace"``) or with only the
+    metrics registry on (``"metrics"``), then switch both off."""
     tracer = get_tracer()
     try:
-        tracer.enable()
-        traced = run_once()
+        if mode == "trace":
+            tracer.enable()
+        else:
+            tracer.metrics.enabled = True
+        return fn()
     finally:
         tracer.disable()
         tracer.reset()
-    for pid, ts in plain.workloads.items():
-        other = traced.workloads[pid]
-        assert ts.ops == other.ops
-        assert ts.fast_pages == other.fast_pages
-        assert ts.fthr_true == other.fthr_true
-        assert ts.promotions == other.promotions
-        assert ts.demotions == other.demotions
-    assert np.array_equal(plain.migration_cycles, traced.migration_cycles)
+
+
+def _canonical(d: dict) -> str:
+    return json.dumps(d, sort_keys=True)
+
+
+def test_tracing_does_not_change_results():
+    """Tracing or metrics on, the same code runs and computes the same
+    results — on a plain run and on the canned churn scenario, whose
+    armed faults drive every fault path of the migration executor."""
+    plain = run_once()
+    for mode in ("trace", "metrics"):
+        observed = _observed(run_once, mode)
+        for pid, ts in plain.workloads.items():
+            other = observed.workloads[pid]
+            assert ts.ops == other.ops
+            assert ts.fast_pages == other.fast_pages
+            assert ts.fthr_true == other.fthr_true
+            assert ts.promotions == other.promotions
+            assert ts.demotions == other.demotions
+        assert np.array_equal(plain.migration_cycles, observed.migration_cycles)
+        assert _canonical(observed.to_dict()) == _canonical(plain.to_dict())
+
+    churn = run_scenario("churn").to_dict()
+    assert churn["faults"], "churn armed faults but none fired"
+    for mode in ("trace", "metrics"):
+        observed = _observed(lambda: run_scenario("churn").to_dict(), mode)
+        assert _canonical(observed) == _canonical(churn), mode
 
 
 def test_prep_phase_routed_through_charge():
