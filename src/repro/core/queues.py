@@ -7,9 +7,12 @@ one priority level once its heat crosses ``boost_factor`` × the median
 heat of the class above it — "allowing pages to promote to
 higher-priority queues as their heat levels increase".
 
-Implementation: one max-heap per class keyed on (-heat, vpn), with lazy
-invalidation (a page re-enqueued with new heat leaves a stale entry that
-is skipped on pop) — the standard priority-queue-with-updates idiom.
+Implementation: one max-heap per class keyed on (-heat, pid, vpn), with
+lazy invalidation (a page re-enqueued with new heat leaves a stale entry
+that is skipped on pop) — the standard priority-queue-with-updates
+idiom.  A heap whose stale entries outnumber twice its live ones (plus
+:attr:`PromotionQueues.STALE_SLACK`) is rebuilt from its live entries,
+so refreshing the same candidates every epoch keeps it bounded.
 """
 
 from __future__ import annotations
@@ -47,6 +50,9 @@ _CLASSES_DESC = tuple(sorted(PageClass, reverse=True))
 
 class PromotionQueues:
     """The four Table 1 queues plus the MLFQ escalation rule."""
+
+    #: stale heap entries a class may hold beyond twice its live count
+    STALE_SLACK = 256
 
     def __init__(self, boost_factor: float = 2.0) -> None:
         if boost_factor <= 1.0:
@@ -111,10 +117,29 @@ class PromotionQueues:
                 )
                 tracer.metrics.counter("queue_escalations", page_class=page_class.name).inc()
         self._live[key] = (effective, heat)
-        heapq.heappush(self._heaps[effective], (-heat, pid, vpn))
+        heap = self._heaps[effective]
+        heapq.heappush(heap, (-heat, pid, vpn))
         sums[effective] += heat
         counts[effective] += 1
+        if len(heap) > 3 * counts[effective] + self.STALE_SLACK:
+            self._compact(effective)
         return effective
+
+    def _compact(self, cls: PageClass) -> None:
+        """Drop the stale entries of ``cls``'s heap.
+
+        An entry is live while it matches its page's ``_live`` record,
+        exactly the test :meth:`pop` applies, so the pop sequence is
+        unchanged: live keys ``(-heat, pid, vpn)`` are unique, and a
+        dropped entry would only have been skipped.
+        """
+        live = self._live
+        heap = [
+            e for e in self._heaps[cls]
+            if live.get((e[1], e[2])) == (cls, -e[0])
+        ]
+        heapq.heapify(heap)
+        self._heaps[cls] = heap
 
     def pop(self, budget: int) -> list[QueuedPage]:
         """Serve up to ``budget`` pages, highest class first, hottest

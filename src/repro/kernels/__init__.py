@@ -75,7 +75,6 @@ KERNEL_NAMES = (
     "heat_gather",
     "topk_live",
     "accumulate_unique",
-    "member_sorted",
     "write_fractions",
     "plan_span_stats",
     "plan_segment_unique",
@@ -95,7 +94,6 @@ heat_min_live = _impl.heat_min_live
 heat_gather = _impl.heat_gather
 topk_live = _impl.topk_live
 accumulate_unique = _impl.accumulate_unique
-member_sorted = _impl.member_sorted
 write_fractions = _impl.write_fractions
 plan_span_stats = _impl.plan_span_stats
 plan_segment_unique = _impl.plan_segment_unique

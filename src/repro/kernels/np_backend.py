@@ -227,17 +227,6 @@ def accumulate_unique(
     return uniq, sums, wsums
 
 
-def member_sorted(values: np.ndarray, sorted_ref: np.ndarray) -> np.ndarray:
-    """``np.isin(values, sorted_ref)`` for an already-sorted reference."""
-    if sorted_ref.size == 0:
-        return np.zeros(values.shape, dtype=bool)
-    pos = np.searchsorted(sorted_ref, values)
-    in_range = pos < sorted_ref.size
-    out = np.zeros(values.shape, dtype=bool)
-    out[in_range] = sorted_ref[pos[in_range]] == values[in_range]
-    return out
-
-
 def write_fractions(h: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``min(w/h, 1)`` where ``h > 0`` else 0, elementwise."""
     out = np.zeros(h.size, dtype=np.float64)

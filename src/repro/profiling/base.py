@@ -37,6 +37,16 @@ class AccessBatch:
     def n(self) -> int:
         return int(self.vpns.size)
 
+    def as_plan(self) -> "EpochPlan":
+        """This batch as a one-segment :class:`EpochPlan` (array views)."""
+        return EpochPlan(
+            pid=self.pid,
+            vpns=self.vpns,
+            is_write=self.is_write,
+            offsets=np.array([0, self.n], dtype=np.int64),
+            tids=np.array([self.tid], dtype=np.int64),
+        )
+
 
 @dataclass(frozen=True)
 class EpochPlan:
@@ -105,9 +115,10 @@ class ProfilerStats:
 class Profiler:
     """Base class: per-(pid, vpn) exponentially-decayed heat.
 
-    Subclasses implement :meth:`observe` to turn the raw stream into
-    heat contributions via their mechanism's lens, then call
-    :meth:`_accumulate`.
+    Subclasses implement one ingest body, :meth:`observe` or
+    :meth:`observe_plan`, to turn the raw stream into heat
+    contributions via their mechanism's lens; the other one delegates
+    to it.
 
     Heat decays by ``decay`` each epoch (Memtis-style halving when
     ``decay=0.5``), so hotness tracks the recent past.
@@ -133,17 +144,25 @@ class Profiler:
     # -- subclass API ----------------------------------------------------
 
     def observe(self, batch: AccessBatch) -> None:
-        """Ingest one access batch (mechanism-specific)."""
-        raise NotImplementedError
+        """Ingest one access batch: a one-segment :meth:`observe_plan`.
+
+        Profilers with a fused :meth:`observe_plan` (PEBS, hint faults,
+        the hybrid) inherit this; per-batch mechanisms override it.
+        """
+        self.observe_plan(batch.as_plan())
 
     def observe_plan(self, plan: EpochPlan) -> None:
         """Ingest one process's whole epoch.
 
-        The default replays the legacy per-thread batch stream in order,
-        which is exact for every mechanism; subclasses with fused fast
-        paths must preserve per-segment RNG draws, sequential state
-        (poison windows), and per-segment heat-insertion order.
+        The default replays the per-thread batch stream through
+        :meth:`observe` in order; only the chrono, telescope and ptscan
+        profilers still use it.  A fused override must equal that
+        replay bit for bit: the same RNG draws, the same sequential
+        state (poison windows), and the same per-segment heat adds and
+        heat-insertion order.
         """
+        if type(self).observe is Profiler.observe:
+            raise NotImplementedError(f"{type(self).__name__} defines no ingest body")
         for batch in plan.segments():
             self.observe(batch)
 
@@ -158,6 +177,33 @@ class Profiler:
             written = wsums > 0.0
             if written.any():
                 self._write_heat.accumulate(pid, uniq[written], wsums[written])
+
+    def _accumulate_segments(
+        self,
+        pid: int,
+        vpns: np.ndarray,
+        segs: np.ndarray,
+        weights: np.ndarray,
+        write_weights: np.ndarray,
+    ) -> None:
+        """:meth:`_accumulate` once per segment, in segment order, fused.
+
+        ``segs[i]`` is the segment of entry ``i``.  One
+        ``accumulate_unique`` over (vpn, segment) keys gives every
+        per-segment sum, added in the order the per-segment call would
+        add it; the heat stores then apply the sums segment by segment.
+        """
+        if vpns.size == 0:
+            return
+        n_seg = int(segs.max()) + 1
+        lo = int(vpns.min())
+        keys = (vpns - lo) * n_seg + segs
+        ukeys, sums, wsums = kernels.accumulate_unique(keys, weights, write_weights)
+        uvpns = ukeys // n_seg + lo
+        usegs = ukeys % n_seg
+        self._heat.accumulate_segments(pid, uvpns, usegs, sums)
+        written = wsums > 0.0
+        self._write_heat.accumulate_segments(pid, uvpns[written], usegs[written], wsums[written])
 
     # -- common API ---------------------------------------------------------
 

@@ -141,6 +141,40 @@ class HeatStore:
         if written_min < ph.min_live:
             ph.min_live = written_min
 
+    def accumulate_segments(
+        self, pid: int, vpns: np.ndarray, segs: np.ndarray, sums: np.ndarray
+    ) -> None:
+        """:meth:`accumulate` once per segment, in segment order, fused.
+
+        Entry ``i`` adds ``sums[i]`` to ``vpns[i]`` as part of segment
+        ``segs[i]``; the (vpn, seg) pairs are unique and sorted
+        vpn-major.  Each slot receives its adds one by one in segment
+        order (``np.add.at`` is unbuffered), new keys enter in
+        (segment, ascending vpn) order, and ``min_live`` sees each
+        slot's first written value: all as the per-segment calls would
+        leave them.  ``sums`` must be positive, so a slot's first add
+        is its smallest written value.
+        """
+        if vpns.size == 0:
+            return
+        ph = self._pids.setdefault(pid, _PidHeat())
+        ph.ensure(int(vpns[0]), int(vpns[-1]))
+        idx = vpns - ph.base
+        first = np.flatnonzero(np.r_[True, vpns[1:] != vpns[:-1]])
+        fidx = idx[first]
+        written_min = float((ph.heat[fidx] + sums[first]).min())
+        new = first[~ph.live[fidx]]
+        np.add.at(ph.heat, idx, sums)
+        ph.live[fidx] = True
+        if new.size:
+            new = new[np.argsort(segs[new], kind="stable")]
+            order = ph.order
+            for vpn in vpns[new].tolist():
+                order[vpn] = None
+            ph._order_cache = None
+        if written_min < ph.min_live:
+            ph.min_live = written_min
+
     def add_scaled(self, pid: int, vpns: np.ndarray, heats: np.ndarray, scale: float) -> None:
         """``heat[vpn] = heat.get(vpn, 0.0) + h * scale`` in given order.
 

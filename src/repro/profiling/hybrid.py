@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.profiling.base import AccessBatch, Profiler
+from repro.profiling.base import EpochPlan, Profiler
 from repro.profiling.hintfault import HintFaultProfiler
 from repro.profiling.pebs import PebsProfiler
 
@@ -47,10 +47,10 @@ class HybridProfiler(Profiler):
         """Expose the fault rotation's coverage registration."""
         self.faults.register_pages(pid, vpns)
 
-    def observe(self, batch: AccessBatch) -> None:
-        self.stats.accesses_seen += batch.n
-        self.pebs.observe(batch)
-        self.faults.observe(batch)
+    def observe_plan(self, plan: EpochPlan) -> None:
+        self.stats.accesses_seen += plan.n
+        self.pebs.observe_plan(plan)
+        self.faults.observe_plan(plan)
 
     def end_epoch(self) -> None:
         self.pebs.end_epoch()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.profiling.base import AccessBatch, Profiler
+from repro.profiling.base import EpochPlan, Profiler
 
 #: Daemon-side cost of harvesting one PEBS sample (interrupt + parse).
 SAMPLE_COST_CYCLES = 1_200.0
@@ -33,22 +33,40 @@ class PebsProfiler(Profiler):
         self.period = period
         self.rng = rng if rng is not None else np.random.default_rng(0)
 
-    def observe(self, batch: AccessBatch) -> None:
-        """Keep ~1/period of the stream, heat-weighted by the period so
-        expected heat equals true access counts."""
-        n = batch.n
-        self.stats.accesses_seen += n
-        if n == 0:
+    def observe_plan(self, plan: EpochPlan) -> None:
+        """Keep ~1/period of each segment, heat-weighted by the period so
+        expected heat equals true access counts.
+
+        Random-phase systematic sampling, the standard PEBS counter
+        reload behaviour: deterministic stride, random initial offset,
+        one phase per non-empty segment.  Equal to sampling the
+        segments one by one: the phases come from one batched draw
+        (the same stream as one scalar draw per segment), and heat is
+        added once per segment, in segment order.
+        """
+        self.stats.accesses_seen += plan.n
+        seg = np.flatnonzero(np.diff(plan.offsets))
+        if seg.size == 0:
             return
-        # Random-phase systematic sampling — the standard PEBS counter
-        # reload behaviour: deterministic stride, random initial offset.
-        start = int(self.rng.integers(self.period))
-        idx = np.arange(start, n, self.period)
-        if idx.size == 0:
+        period = self.period
+        phase = self.rng.integers(period, size=seg.size)
+        first = plan.offsets[seg] + phase
+        counts = (plan.offsets[seg + 1] - first + period - 1) // period
+        total = int(counts.sum())
+        if total == 0:
             return
-        self.stats.samples_taken += int(idx.size)
-        self.stats.overhead_cycles += idx.size * SAMPLE_COST_CYCLES
-        vpns = batch.vpns[idx]
-        writes = batch.is_write[idx]
-        weights = np.full(idx.size, float(self.period))
-        self._accumulate(batch.pid, vpns, weights, write_weights=weights * writes)
+        for n in counts.tolist():
+            if n:
+                self.stats.samples_taken += n
+                self.stats.overhead_cycles += n * SAMPLE_COST_CYCLES
+        # Sample j of a segment sits at first + j * period.
+        starts = np.cumsum(counts) - counts
+        idx = np.repeat(first, counts) + (np.arange(total) - np.repeat(starts, counts)) * period
+        weights = np.full(total, float(period))
+        self._accumulate_segments(
+            plan.pid,
+            plan.vpns[idx],
+            np.repeat(np.arange(counts.size), counts),
+            weights,
+            weights * plan.is_write[idx],
+        )

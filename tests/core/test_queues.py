@@ -122,3 +122,50 @@ def test_pop_order_property(entries):
     assert keys == sorted(keys)
     # Each live page served at most once.
     assert len({p.vpn for p in served}) == len(served)
+
+
+class _Uncompacted(PromotionQueues):
+    """Reference queue that never drops stale heap entries."""
+
+    def _compact(self, cls):
+        pass
+
+
+def _heap_entries(q):
+    return sum(len(h) for h in q._heaps.values())
+
+
+def test_refresh_rounds_keep_heaps_bounded_and_pop_order_unchanged():
+    """Re-enqueueing the same candidates every round (as the daemon's
+    candidate refresh does each epoch) must not grow the heaps without
+    bound, and dropping stale entries must not change what pop serves."""
+    import random
+
+    rnd = random.Random(5)
+    classes = list(PageClass)
+    q, ref = PromotionQueues(), _Uncompacted()
+    served, served_ref = [], []
+    peak = ref_peak = 0
+    for rnd_i in range(200):
+        for vpn in rnd.sample(range(400), 150):
+            # few distinct heats, so equal (heat, class) re-enqueues occur
+            heat = float(rnd.randrange(1, 40))
+            cls = rnd.choice(classes)
+            eff = q.enqueue(1 + vpn % 2, vpn, heat, cls)
+            assert eff is ref.enqueue(1 + vpn % 2, vpn, heat, cls)
+            assert len(q._heaps[eff]) <= 3 * q.depth(eff) + q.STALE_SLACK
+        if rnd_i % 3 == 0:
+            budget = rnd.randrange(0, 40)
+            served.append(q.pop(budget))
+            served_ref.append(ref.pop(budget))
+        for vpn in rnd.sample(range(400), 5):
+            assert q.drop(1 + vpn % 2, vpn) == ref.drop(1 + vpn % 2, vpn)
+        peak = max(peak, _heap_entries(q))
+        ref_peak = max(ref_peak, _heap_entries(ref))
+    assert served == served_ref
+    assert q.pop(10_000) == ref.pop(10_000)
+    assert len(q) == len(ref) == 0
+    assert q.escalations == ref.escalations
+    # 400 pages, each live in one class at a time
+    assert peak <= len(classes) * (3 * 400 + q.STALE_SLACK)
+    assert ref_peak > 4 * peak  # the reference did grow

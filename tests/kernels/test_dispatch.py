@@ -79,4 +79,4 @@ def test_backend_info_reports_kernel_names():
     info = json.loads(proc.stdout)
     assert info["backend"] == "python"
     assert info["requested"] == "python"
-    assert info["kernels"] >= 18
+    assert info["kernels"] >= 17

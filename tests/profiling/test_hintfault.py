@@ -44,7 +44,7 @@ def test_rotation_covers_all_pages():
     seen = set()
     for _ in range(4):
         p.observe(batch(list(range(8))))
-        seen |= set(p._poisoned.get(1, set()))
+        seen |= set(p.poisoned_vpns(1).tolist())
         p.end_epoch()
     assert len(set(p.hotness(1)) | seen) >= 8 - 2  # full coverage modulo rotation edge
 

@@ -152,14 +152,26 @@ def test_golden_metrics_bit_identical(path):
 # reordered a float add or consumed RNG differently.
 
 
-def test_legacy_vs_batched_epoch_kernel_bit_identical(monkeypatch):
+def _assert_legacy_matches_batched(monkeypatch, policy: str) -> None:
     monkeypatch.setenv("REPRO_LEGACY_EPOCH", "1")
-    legacy = run_once("vulcan", "paper", seed=3, epochs=4)
+    legacy = run_once(policy, "paper", seed=3, epochs=4)
     monkeypatch.delenv("REPRO_LEGACY_EPOCH")
-    batched = run_once("vulcan", "paper", seed=3, epochs=4)
+    batched = run_once(policy, "paper", seed=3, epochs=4)
     assert_results_identical(legacy, batched)
     assert json.dumps(legacy.to_dict(), sort_keys=True) \
         == json.dumps(batched.to_dict(), sort_keys=True)
+
+
+def test_legacy_vs_batched_epoch_kernel_bit_identical(monkeypatch):
+    """Vulcan: the hybrid profiler's fused ingest."""
+    _assert_legacy_matches_batched(monkeypatch, "vulcan")
+
+
+# The other profiler families, each reaching its own fused ingest:
+# tpp and nomad run hint faults alone, memtis runs PEBS alone.
+@pytest.mark.parametrize("policy", ["tpp", "nomad", "memtis"])
+def test_legacy_vs_batched_per_profiler_family(monkeypatch, policy):
+    _assert_legacy_matches_batched(monkeypatch, policy)
 
 
 def test_legacy_vs_batched_on_dynamic_scenario(monkeypatch):
