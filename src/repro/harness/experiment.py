@@ -24,7 +24,6 @@ the figure benches can print exactly the series the paper plots.
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -418,35 +417,20 @@ class ColocationExperiment:
     def _generate_traffic(self, epoch: int) -> tuple[dict[int, tuple[int, int]], dict[int, float]]:
         """Drive every active workload's epoch traffic through the system.
 
-        The batched kernel path (default) hands one fused
-        :class:`~repro.profiling.base.EpochPlan` per workload to
-        ``AddressSpace.record_plan`` and the policy's batched hooks;
-        ``REPRO_LEGACY_EPOCH=1`` replays the original per-batch loop.
-        Both are bit-identical (enforced by the differential e2e tests).
+        Each workload's epoch is one fused
+        :class:`~repro.profiling.base.EpochPlan`: recorded against the
+        frame counters, fed to its profiler, then sampled per segment
+        for FTHR.
         """
-        legacy = os.environ.get("REPRO_LEGACY_EPOCH") == "1"
         epoch_hits: dict[int, tuple[int, int]] = {}
         epoch_issue: dict[int, float] = {}
         for pid, wl in self._active.items():
-            space = self._spaces[pid]
-            if legacy:
-                epoch_issue[pid] = wl.issue_rate(epoch)
-                fast_total = 0
-                slow_total = 0
-                for batch in wl.generate(epoch):
-                    f, s = space.record_batch(batch.vpns, batch.is_write, batch.tid, cycle=epoch)
-                    fast_total += f
-                    slow_total += s
-                    self.policy.observe(batch)
-                    self.policy.record_tier_sample(pid, f, s)
-                epoch_hits[pid] = (fast_total, slow_total)
-            else:
-                issue, plan = wl.planned_epoch(epoch)
-                epoch_issue[pid] = issue
-                fast_seg, slow_seg = space.record_plan(plan, cycle=epoch)
-                self.policy.observe_plan(plan)
-                self.policy.record_tier_samples(pid, fast_seg, slow_seg)
-                epoch_hits[pid] = (int(fast_seg.sum()), int(slow_seg.sum()))
+            issue, plan = wl.planned_epoch(epoch)
+            epoch_issue[pid] = issue
+            fast_seg, slow_seg = self._spaces[pid].record_plan(plan, cycle=epoch)
+            self.policy.observe_plan(plan)
+            self.policy.record_tier_samples(pid, fast_seg, slow_seg)
+            epoch_hits[pid] = (int(fast_seg.sum()), int(slow_seg.sum()))
         return epoch_hits, epoch_issue
 
     def _apply_epoch_events(self, epoch: int) -> None:

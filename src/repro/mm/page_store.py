@@ -145,26 +145,6 @@ class PageStatsStore:
 
     # -- vectorized hot-path updates -------------------------------------
 
-    def record_batch(
-        self,
-        pfns: np.ndarray,
-        n_reads: np.ndarray,
-        n_writes: np.ndarray,
-        tid: int,
-        cycle: int,
-    ) -> None:
-        """Account per-frame access counts for one thread's batch.
-
-        ``pfns`` must be unique (one row per frame); counts are added
-        one-per-row (exact for unique rows).
-        """
-        kernels.page_record_rows(
-            self.reads, self.writes, self.epoch_reads, self.epoch_writes,
-            self.last_access_cycle, self.touched, self.state,
-            self.dirty_since_copy, pfns, n_reads, n_writes, cycle,
-        )
-        self.or_tid_bit(pfns, tid)
-
     def or_tid_bit(self, pfns: np.ndarray, tid: int) -> None:
         """OR one thread's bit into the accessing-tid masks of ``pfns``."""
         if tid < 64:
@@ -179,14 +159,13 @@ class PageStatsStore:
         n_writes: np.ndarray,
         cycle: int,
     ) -> None:
-        """Fused-epoch counterpart of :meth:`record_batch`.
+        """Account per-frame access counts for one epoch.
 
         ``pfns`` are the epoch's unique frames with counts already
-        summed across threads; the per-thread tid-bit ORs happen
-        separately (:meth:`or_tid_bit`).  Integer adds commute, states
-        are constant while traffic runs, and ``cycle`` is the same for
-        every batch of an epoch, so one fused pass lands bit-identical
-        to the per-batch path.
+        summed across threads (counts are added one-per-row, exact for
+        unique rows); every listed frame is marked touched, even a
+        zero-count row.  The per-thread tid-bit ORs happen separately
+        (:meth:`or_tid_bit`).
         """
         kernels.page_record_rows(
             self.reads, self.writes, self.epoch_reads, self.epoch_writes,

@@ -5,9 +5,9 @@ Lifecycle per experiment::
     policy = SomePolicy(machine, allocator, lru, seed=...)
     rt = policy.register_workload(pid, name, space, service, core_map, ...)
     # each epoch:
-    policy.observe(batch)            # for every thread's access batch
-    policy.record_tier_sample(...)   # N times per epoch (FTHR sampling)
-    result = policy.end_epoch()      # policy migrates; harness reads result
+    policy.observe_plan(plan)                  # each process's EpochPlan
+    policy.record_tier_samples(pid, f, s)      # its per-segment FTHR samples
+    result = policy.end_epoch()                # policy migrates; harness reads result
 
 Each workload gets its *own* :class:`MigrationEngine` so stall cycles
 are attributable per workload; whether that engine runs with Vulcan's
@@ -28,7 +28,7 @@ from repro.mm.frame_alloc import FrameAllocator
 from repro.mm.lru import LruSubsystem
 from repro.mm.migration import MigrationEngine, OptimizationFlags
 from repro.mm.shadow import ShadowTracker
-from repro.profiling.base import AccessBatch, EpochPlan, Profiler
+from repro.profiling.base import EpochPlan, Profiler
 
 
 @dataclass
@@ -44,9 +44,6 @@ class WorkloadRuntime:
     thread_core_map: dict[int, int]
     shadow: ShadowTracker | None = None
     access_rate_per_kcycle: float = 0.0
-    #: harness-visible per-epoch counters (reset by end_epoch)
-    epoch_fast_hits: int = 0
-    epoch_slow_hits: int = 0
 
 
 @dataclass
@@ -183,15 +180,8 @@ class TieringPolicy:
         re-derives GPTs and the CBFRP partition base.
         """
 
-    def observe(self, batch: AccessBatch) -> None:
-        """Feed one thread's epoch accesses to the workload's profiler."""
-        rt = self.workloads.get(batch.pid)
-        if rt is None:
-            return
-        rt.profiler.observe(batch)
-
     def observe_plan(self, plan: EpochPlan) -> None:
-        """Feed one process's whole epoch (batched :meth:`observe`)."""
+        """Feed one process's whole epoch to its profiler."""
         rt = self.workloads.get(plan.pid)
         if rt is None:
             return
@@ -205,27 +195,12 @@ class TieringPolicy:
         migration when the fast tier stops being meaningfully faster.
         """
 
-    def record_tier_sample(self, pid: int, fast: int, slow: int) -> None:
-        """One FTHR sample (harness calls N times per epoch).
-
-        Base policies ignore it; Vulcan feeds its QoS tracker.  The
-        counters are still kept so any policy can report hit ratios.
-        """
-        rt = self.workloads.get(pid)
-        if rt is None:
-            return
-        rt.epoch_fast_hits += fast
-        rt.epoch_slow_hits += slow
-
     def record_tier_samples(self, pid: int, fast: np.ndarray, slow: np.ndarray) -> None:
-        """Per-segment FTHR samples for one epoch (batched counterpart).
+        """One epoch's FTHR samples: fast/slow access counts per plan
+        segment, in segment order.
 
-        Sample windows are per-segment state (Vulcan's QoS tracker keeps
-        the raw pairs), so this dispatches one :meth:`record_tier_sample`
-        per segment — exactly the legacy call sequence.
+        Base policies ignore them; Vulcan feeds its QoS tracker.
         """
-        for f, s in zip(fast.tolist(), slow.tolist()):
-            self.record_tier_sample(pid, f, s)
 
     def end_epoch(self) -> EpochResult:
         """Close the epoch: profilers roll over, migrations run."""
@@ -249,12 +224,4 @@ class TieringPolicy:
             app_ov = rt.profiler.stats.app_overhead_cycles
             result.profiling_app_cycles[pid] = app_ov - self._prev_app_overhead.get(pid, 0.0)
             self._prev_app_overhead[pid] = app_ov
-            rt.epoch_fast_hits = 0
-            rt.epoch_slow_hits = 0
         return result
-
-    # -- shared helpers -----------------------------------------------------------
-
-    def _fast_usage(self, pid: int) -> int:
-        """Ground-truth fast-tier pages of one workload."""
-        return self.allocator.store.fast_usage(pid)

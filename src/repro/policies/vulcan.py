@@ -105,11 +105,11 @@ class VulcanPolicy(TieringPolicy):
     def note_fast_capacity(self, online_pages: int) -> None:
         self.daemon.set_fast_capacity(online_pages)
 
-    def record_tier_sample(self, pid: int, fast: int, slow: int) -> None:
-        super().record_tier_sample(pid, fast, slow)
+    def record_tier_samples(self, pid: int, fast: np.ndarray, slow: np.ndarray) -> None:
         qos = self.daemon.qos.workloads.get(pid)
         if qos is not None:
-            qos.add_sample(fast, slow)
+            for f, s in zip(fast.tolist(), slow.tolist()):
+                qos.add_sample(f, s)
 
     def note_tier_latency(self, fast_loaded_cycles: float, slow_loaded_cycles: float) -> None:
         self._migrate_this_epoch = self.balancer.update(fast_loaded_cycles, slow_loaded_cycles)

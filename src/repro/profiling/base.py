@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,7 +12,11 @@ from repro.profiling.heat_store import HeatStore
 
 @dataclass(frozen=True)
 class AccessBatch:
-    """One epoch's worth of accesses from one thread of one process."""
+    """One thread's accesses: one :class:`EpochPlan` segment.
+
+    Per-batch profilers (chrono, telescope, ptscan) ingest these through
+    :meth:`Profiler.observe`; :meth:`as_plan` lifts one back into a plan.
+    """
 
     pid: int
     tid: int
@@ -52,13 +56,11 @@ class AccessBatch:
 class EpochPlan:
     """One epoch of traffic for one process, all threads concatenated.
 
-    The vectorized successor to a ``list[AccessBatch]``: segment ``i``
-    covers ``vpns[offsets[i]:offsets[i+1]]`` and belongs to thread
-    ``tids[i]``.  Segments appear in the exact order the legacy
-    generator yielded batches (tid 0, 1, ...), so any consumer that
-    iterates :meth:`segments` reproduces the per-batch stream
-    bit-for-bit; fused consumers use the flat arrays plus
-    ``np.add.reduceat``-style reductions over ``offsets``.
+    Segment ``i`` covers ``vpns[offsets[i]:offsets[i+1]]`` and belongs to
+    thread ``tids[i]``; segments run in thread order (tid 0, 1, ...).
+    Per-thread consumers iterate :meth:`segments`; fused consumers use
+    the flat arrays plus ``np.add.reduceat``-style reductions over
+    ``offsets`` and must equal the per-segment replay bit for bit.
     """
 
     pid: int
@@ -83,20 +85,14 @@ class EpochPlan:
     def n_segments(self) -> int:
         return int(self.tids.size)
 
-    def segment(self, i: int) -> AccessBatch:
-        """Segment ``i`` as a legacy :class:`AccessBatch` (array views)."""
-        lo, hi = int(self.offsets[i]), int(self.offsets[i + 1])
-        return AccessBatch(
-            pid=self.pid,
-            tid=int(self.tids[i]),
-            vpns=self.vpns[lo:hi],
-            is_write=self.is_write[lo:hi],
-        )
-
     def segments(self):
-        """Iterate the legacy per-thread batch stream, in order."""
+        """Iterate the segments as per-thread :class:`AccessBatch` views, in order."""
         for i in range(self.n_segments):
-            yield self.segment(i)
+            lo, hi = int(self.offsets[i]), int(self.offsets[i + 1])
+            yield AccessBatch(
+                pid=self.pid, tid=int(self.tids[i]),
+                vpns=self.vpns[lo:hi], is_write=self.is_write[lo:hi],
+            )
 
 
 @dataclass
@@ -217,10 +213,6 @@ class Profiler:
     def hotness(self, pid: int) -> dict[int, float]:
         """Per-page heat estimates for ``pid`` as a dict (cold paths)."""
         return self._heat.as_dict(pid)
-
-    def write_heat(self, pid: int) -> dict[int, float]:
-        """Write-specific heat (for read/write intensity classification)."""
-        return self._write_heat.as_dict(pid)
 
     def heat_view(self, pid: int) -> tuple[np.ndarray, np.ndarray]:
         """(vpns, heats) in heat-insertion order — the vectorized

@@ -21,19 +21,8 @@ from repro.harness.experiment import ColocationExperiment, ExperimentResult
 from repro.obs.events import EventKind
 from repro.obs.trace import get_tracer
 from repro.scenario.faults import FaultInjector
-from repro.scenario.spec import ScenarioSpec, WorkloadDef
+from repro.scenario.spec import KIND_CLASSES, ScenarioSpec, WorkloadDef
 from repro.workloads.base import Workload, WorkloadSpec
-from repro.workloads.liblinear import LiblinearWorkload
-from repro.workloads.memcached import MemcachedWorkload
-from repro.workloads.microbench import MicrobenchWorkload
-from repro.workloads.pagerank import PageRankWorkload
-
-KIND_CLASSES: dict[str, type[Workload]] = {
-    "memcached": MemcachedWorkload,
-    "pagerank": PageRankWorkload,
-    "liblinear": LiblinearWorkload,
-    "microbench": MicrobenchWorkload,
-}
 
 
 def _instance_seed(d: WorkloadDef, base_seed: int, generation: int) -> int:

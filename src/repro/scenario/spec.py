@@ -17,8 +17,21 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.mm.pte import PTE_MAX_TID
+from repro.workloads.base import Workload
+from repro.workloads.liblinear import LiblinearWorkload
+from repro.workloads.memcached import MemcachedWorkload
+from repro.workloads.microbench import MicrobenchWorkload
+from repro.workloads.pagerank import PageRankWorkload
+
 #: workload generator kinds the engine can instantiate
-VALID_KINDS = ("memcached", "pagerank", "liblinear", "microbench")
+KIND_CLASSES: dict[str, type[Workload]] = {
+    "memcached": MemcachedWorkload,
+    "pagerank": PageRankWorkload,
+    "liblinear": LiblinearWorkload,
+    "microbench": MicrobenchWorkload,
+}
+VALID_KINDS = tuple(KIND_CLASSES)
 VALID_SERVICES = ("LC", "BE")
 #: every scripted action the engine dispatches
 VALID_ACTIONS = (
@@ -50,6 +63,17 @@ def _is_int(x) -> bool:
 
 def _is_number(x) -> bool:
     return _is_int(x) or isinstance(x, (float, np.floating))
+
+
+def _check_knobs(where: str, kind: str, attrs) -> None:
+    """Generator knobs (constructor ``params``, phase-shift ``attrs``)
+    under the one rule :meth:`Workload.check_knobs` also applies live."""
+    if not isinstance(attrs, dict):
+        raise ScenarioSpecError(f"{where}: knobs must be a mapping, got {attrs!r}")
+    try:
+        KIND_CLASSES[kind].check_knobs(attrs)
+    except ValueError as exc:
+        raise ScenarioSpecError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -157,6 +181,10 @@ class ScenarioSpec:
                 )
         if d.rss_pages <= 0 or d.n_threads <= 0 or d.accesses_per_thread <= 0:
             raise ScenarioSpecError(f"{d.key}: rss/threads/accesses must be positive")
+        if d.n_threads > PTE_MAX_TID + 1:
+            # tids 0..n_threads-1 must fit the PTE's ownership field
+            raise ScenarioSpecError(f"{d.key}: n_threads must be <= {PTE_MAX_TID + 1}, got {d.n_threads}")
+        _check_knobs(f"{d.key}: params", d.kind, d.params)
         if not 0 <= d.start_epoch < self.n_epochs:
             raise ScenarioSpecError(f"{d.key}: start_epoch {d.start_epoch} outside [0, {self.n_epochs})")
         if d.populate_tier not in (0, 1):
@@ -192,6 +220,12 @@ class ScenarioSpec:
         elif ev.action == "phase_shift":
             if not ev.params.get("attrs") and "reseed" not in ev.params:
                 raise ScenarioSpecError(f"{where}: needs params.attrs and/or params.reseed")
+            if set(ev.params) - {"attrs", "reseed"}:
+                raise ScenarioSpecError(f"{where}: params takes only attrs and reseed")
+            if "reseed" in ev.params and not _is_int(ev.params["reseed"]):
+                raise ScenarioSpecError(f"{where}: params.reseed must be an integer")
+            kind = next(d.kind for d in self.workloads if d.key == ev.target)
+            _check_knobs(f"{where}: params.attrs", kind, ev.params.get("attrs") or {})
         elif ev.action in ("tier_offline", "tier_online"):
             pages = ev.params.get("pages")
             if ev.action == "tier_offline" and (not isinstance(pages, int) or pages <= 0):

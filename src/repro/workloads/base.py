@@ -1,10 +1,11 @@
 """Workload interface for the epoch-driven harness.
 
 A workload owns a virtual region (its RSS) inside a process the harness
-creates, and produces per-thread access batches each epoch.  Per-thread
-generation matters: Vulcan's page classification distinguishes *which*
-threads touch a page, so generators partition or share their working
-sets across threads explicitly.
+creates, and produces each epoch's traffic as one
+:class:`~repro.profiling.base.EpochPlan` with one segment per thread.
+Per-thread generation matters: Vulcan's page classification
+distinguishes *which* threads touch a page, so generators partition or
+share their working sets across threads explicitly.
 
 The issue model separates *intent* from *achievement*: a workload asks
 to issue ``issue_rate(epoch)`` × budget accesses; the harness converts
@@ -14,13 +15,16 @@ metric).  ``issue_rate`` < 1 models LC burstiness.
 
 from __future__ import annotations
 
+import inspect
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.classify import ServiceClass
 from repro.mm.address_space import Vma
-from repro.profiling.base import AccessBatch, EpochPlan
+from repro.profiling.base import EpochPlan
 
 
 @dataclass(frozen=True)
@@ -76,21 +80,46 @@ class Workload:
     def _on_bind(self) -> None:
         """Subclass hook (e.g. build index structures over the VMA)."""
 
+    @classmethod
+    def knobs(cls) -> dict[str, object]:
+        """Keyword-only constructor knobs (with defaults) the instance
+        keeps under the same name, so :meth:`reshape` can reassign them."""
+        params = inspect.signature(cls.__init__).parameters.values()
+        return {p.name: p.default for p in params
+                if p.kind is p.KEYWORD_ONLY and not callable(getattr(cls, p.name, None))}
+
+    @classmethod
+    def check_knobs(cls, attrs: dict) -> None:
+        """The one rule for constructor ``params`` and :meth:`reshape`
+        ``attrs``: only :meth:`knobs`, each a finite real number (a bool
+        where the default is one), so a bad knob fails at the spec
+        boundary instead of mid-run."""
+        knobs = cls.knobs()
+        for name, value in attrs.items():
+            if name not in knobs:
+                raise ValueError(f"{cls.__name__} has no knob {name!r} (pick from {sorted(knobs)})")
+            is_bool = isinstance(value, (bool, np.bool_))
+            real = is_bool or (isinstance(value, numbers.Real) and math.isfinite(value))
+            if not real or is_bool != isinstance(knobs[name], bool):
+                want = "a bool" if isinstance(knobs[name], bool) else "a finite real number"
+                raise ValueError(f"{cls.__name__} knob {name!r} must be {want}, got {value!r}")
+
     def reshape(self, attrs: dict | None = None, reseed: int | None = None) -> None:
         """Scenario phase shift: mutate generator knobs on a live workload.
 
-        ``attrs`` assigns existing generator attributes (e.g. a
-        Memcached ``hot_frac`` resize or a Zipf skew change); ``reseed``
-        replaces the layout seed.  Either way :meth:`_on_bind` re-runs
-        so derived structures (hot-set permutations, samplers) are
-        rebuilt over the *same* VMA — the process, its pages, and its
-        profile history all survive; only future traffic changes shape.
+        ``attrs`` reassigns :meth:`knobs` (e.g. a Memcached ``hot_frac``
+        resize or a Zipf skew change), checked by :meth:`check_knobs`;
+        ``reseed`` replaces the layout seed.  Either way :meth:`_on_bind`
+        re-runs so derived structures (hot-set permutations, samplers)
+        are rebuilt over the *same* VMA — the process, its pages, and
+        its profile history all survive; only future traffic changes
+        shape.
         """
         if self.pid is None or self.vma is None:
             raise RuntimeError(f"workload {self.name!r} not bound to a process")
-        for name, value in (attrs or {}).items():
-            if name.startswith("_") or not hasattr(self, name):
-                raise AttributeError(f"{type(self).__name__} has no reshapeable attribute {name!r}")
+        attrs = attrs or {}
+        self.check_knobs(attrs)
+        for name, value in attrs.items():
             setattr(self, name, value)
         if reseed is not None:
             self.seed = int(reseed)
@@ -114,71 +143,28 @@ class Workload:
         epoch (1.0 = saturating).  Default: saturating (BE behaviour)."""
         return 1.0
 
-    def generate(self, epoch: int) -> list[AccessBatch]:
-        """Produce one access batch per thread for this epoch."""
-        if self.pid is None or self.vma is None:
-            raise RuntimeError(f"workload {self.name!r} not bound to a process")
-        batches: list[AccessBatch] = []
-        n = int(self.spec.accesses_per_thread * self.issue_rate(epoch))
-        for tid in range(self.spec.n_threads):
-            if n <= 0:
-                vpns = np.empty(0, dtype=np.int64)
-                writes = np.empty(0, dtype=bool)
-            else:
-                vpns, writes = self._thread_access(tid, n, epoch)
-            batches.append(AccessBatch(pid=self.pid, tid=tid, vpns=vpns, is_write=writes))
-        return batches
-
-    def plan_epoch(self, epoch: int) -> EpochPlan:
-        """Produce the epoch's traffic as one vectorized :class:`EpochPlan`.
-
-        Consumes exactly the RNG stream :meth:`generate` would — the
-        same single ``issue_rate`` call, then ``_thread_access`` per tid
-        in order — so batched and legacy runs are bit-identical.
-        """
-        if self.pid is None or self.vma is None:
-            raise RuntimeError(f"workload {self.name!r} not bound to a process")
-        n = int(self.spec.accesses_per_thread * self.issue_rate(epoch))
-        n_threads = self.spec.n_threads
-        offsets = np.zeros(n_threads + 1, dtype=np.int64)
-        if n <= 0:
-            return EpochPlan(
-                pid=self.pid,
-                vpns=np.empty(0, dtype=np.int64),
-                is_write=np.empty(0, dtype=bool),
-                offsets=offsets,
-                tids=np.arange(n_threads, dtype=np.int64),
-            )
-        parts_v: list[np.ndarray] = []
-        parts_w: list[np.ndarray] = []
-        for tid in range(n_threads):
-            vpns, writes = self._thread_access(tid, n, epoch)
-            parts_v.append(vpns)
-            parts_w.append(writes)
-            offsets[tid + 1] = offsets[tid] + vpns.size
-        return EpochPlan(
-            pid=self.pid,
-            vpns=np.concatenate(parts_v),
-            is_write=np.concatenate(parts_w),
-            offsets=offsets,
-            tids=np.arange(n_threads, dtype=np.int64),
-        )
-
     def planned_epoch(self, epoch: int) -> tuple[float, EpochPlan]:
-        """Burst-prefetching, allocation-free variant of the harness's
-        ``issue_rate(epoch)`` + ``plan_epoch(epoch)`` pair.
+        """This epoch's ``(issue_rate, EpochPlan)``, built in bursts.
 
         On a cache miss the next ``plan_horizon`` epochs of plans are
         built back to back into a rotating pool of reusable buffers
         (one slot per horizon step, so a cached plan is never
-        overwritten before its epoch consumes it).  RNG draw order is
-        preserved exactly: for each prefetched epoch the harness-side
-        ``issue_rate`` draw happens first, then the plan's own internal
-        draw — the same ``A_e, B_e, A_{e+1}, B_{e+1}, ...`` sequence a
-        non-prefetching run makes.  The returned plan's arrays are
-        *views into reused buffers*: valid until ``plan_horizon``
-        further epochs have been planned, which the epoch-driven
-        harness guarantees by consuming each plan within its epoch.
+        overwritten before its epoch consumes it).
+
+        Each planned epoch draws ``issue_rate`` twice: once for the
+        returned rate (the performance model's demand) and once inside
+        :meth:`_plan_into` for the access count, so a jittered workload
+        (Memcached) runs ``A_e, B_e, A_{e+1}, B_{e+1}, ...`` on its RNG
+        stream.  The pair is a relic of the old harness/generator
+        split, but every golden with a jittered workload pins that
+        stream, so dropping a draw is a behaviour change that needs
+        re-captured goldens.  Prefetching keeps the same order.
+
+        The returned plan's arrays are *views into reused buffers*:
+        valid until ``plan_horizon`` further epochs have been planned,
+        which the epoch-driven harness guarantees by consuming each
+        plan within its epoch.  A caller that holds two epochs must
+        copy the first.
         """
         hit = self._plan_cache.pop(epoch, None)
         if hit is not None:
@@ -195,8 +181,8 @@ class Workload:
 
     def _plan_into(self, slot_i: int, epoch: int) -> EpochPlan:
         """Build epoch ``epoch``'s plan into reusable buffer slot
-        ``slot_i`` — same traffic and RNG stream as :meth:`plan_epoch`,
-        without the per-epoch concatenate allocations."""
+        ``slot_i``: ``_thread_access`` per tid in order, written into the
+        slot's buffers without per-epoch allocations."""
         if self.pid is None or self.vma is None:
             raise RuntimeError(f"workload {self.name!r} not bound to a process")
         n = int(self.spec.accesses_per_thread * self.issue_rate(epoch))
@@ -235,6 +221,9 @@ class Workload:
         for tid in range(nt):
             vpns, writes = self._thread_access(tid, n, epoch)
             m = vpns.size
+            if pos + m > buf_v.size:  # an op may emit several accesses (YCSB scans)
+                buf_v = slot["vpns"] = np.resize(buf_v, 2 * (pos + m))
+                buf_w = slot["writes"] = np.resize(buf_w, 2 * (pos + m))
             buf_v[pos : pos + m] = vpns
             buf_w[pos : pos + m] = writes
             pos += m

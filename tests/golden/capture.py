@@ -43,6 +43,7 @@ def main() -> int:
         path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
         print(f"wrote {path.name}")
     capture_scenario()
+    capture_fuzz_campaign()
     return 0
 
 
@@ -60,6 +61,18 @@ def capture_scenario() -> None:
         "scenario_result": sres.to_dict(),
     }
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {path.name}")
+
+
+def capture_fuzz_campaign() -> None:
+    """Freeze the seed-7, 25-case fuzz campaign report (serial run):
+    every case record, the replay and service-parity checks, and the
+    clean verdict.  ``--workers 2`` reports differ only in ``workers``."""
+    from repro.fuzz.runner import campaign
+
+    report = campaign(seed=7, runs=25)
+    path = GOLDEN_DIR / "fuzz_campaign_seed7.json"
+    path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path.name}")
 
 

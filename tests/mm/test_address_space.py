@@ -1,10 +1,11 @@
-"""Processes, VMAs, demand paging, batch accounting."""
+"""Processes, VMAs, demand paging, epoch-plan accounting."""
 
 import numpy as np
 import pytest
 
 from repro.mm.address_space import AddressSpace, Process, Vma
 from repro.mm.frame_alloc import FrameAllocator
+from repro.profiling.base import AccessBatch
 from tests.conftest import make_process, populated_space
 
 
@@ -12,6 +13,12 @@ def make_space(fast=8, slow=64, n_threads=4, replication=True):
     alloc = FrameAllocator(fast_frames=fast, slow_frames=slow)
     proc = make_process(n_threads=n_threads, replication=replication)
     return AddressSpace(proc, alloc), proc, alloc
+
+
+def record(space, vpns, is_write, tid=0, cycle=0):
+    """One thread's accesses through ``record_plan``: per-segment (fast, slow)."""
+    batch = AccessBatch(pid=space.process.pid, tid=tid, vpns=vpns, is_write=is_write)
+    return space.record_plan(batch.as_plan(), cycle=cycle)
 
 
 def test_vma_basics():
@@ -97,8 +104,8 @@ def test_record_batch_tier_split():
     space = populated_space(alloc, n_pages=4)  # 2 fast + 2 slow
     vma = space.process.vmas[0]
     vpns = np.array([vma.start_vpn, vma.start_vpn + 1, vma.start_vpn + 3], dtype=np.int64)
-    fast, slow = space.record_batch(vpns, np.zeros(3, dtype=bool), tid=0)
-    assert fast == 2 and slow == 1
+    fast, slow = record(space, vpns, np.zeros(3, dtype=bool), tid=0)
+    assert fast.tolist() == [2] and slow.tolist() == [1]
 
 
 def test_record_batch_counts_and_writes():
@@ -107,7 +114,7 @@ def test_record_batch_counts_and_writes():
     vma = space.process.vmas[0]
     vpns = np.array([vma.start_vpn] * 5 + [vma.start_vpn + 1] * 3, dtype=np.int64)
     writes = np.array([True, False, False, False, True, False, False, False])
-    space.record_batch(vpns, writes, tid=0, cycle=3)
+    record(space, vpns, writes, tid=0, cycle=3)
     p0 = alloc.page(space.translate(vma.start_vpn))
     p1 = alloc.page(space.translate(vma.start_vpn + 1))
     assert (p0.reads, p0.writes) == (3, 2)
@@ -119,18 +126,19 @@ def test_record_batch_unmapped_rejected():
     space, proc, _ = make_space()
     proc.mmap(2)
     with pytest.raises(KeyError):
-        space.record_batch(np.array([proc.vmas[0].start_vpn]), np.array([False]), tid=0)
+        record(space, np.array([proc.vmas[0].start_vpn]), np.array([False]), tid=0)
 
 
 def test_record_batch_shape_mismatch():
     space, _, _ = make_space()
     with pytest.raises(ValueError):
-        space.record_batch(np.array([1, 2]), np.array([False]), tid=0)
+        record(space, np.array([1, 2]), np.array([False]), tid=0)
 
 
 def test_record_batch_empty():
     space, _, _ = make_space()
-    assert space.record_batch(np.empty(0, dtype=np.int64), np.empty(0, dtype=bool), tid=0) == (0, 0)
+    fast, slow = record(space, np.empty(0, dtype=np.int64), np.empty(0, dtype=bool), tid=0)
+    assert fast.tolist() == [0] and slow.tolist() == [0]
 
 
 def test_record_batch_promotes_sharing():
@@ -138,5 +146,5 @@ def test_record_batch_promotes_sharing():
     space = populated_space(alloc, n_pages=2, n_threads=2)  # page i owned by tid i
     vma = space.process.vmas[0]
     vpns = np.array([vma.start_vpn + 1], dtype=np.int64)
-    space.record_batch(vpns, np.array([False]), tid=0)  # tid 0 touches tid 1's page
+    record(space, vpns, np.array([False]), tid=0)  # tid 0 touches tid 1's page
     assert not space.process.repl.is_private(vma.start_vpn + 1)

@@ -30,6 +30,12 @@ def make_store(n=64, fast=16):
     return PageStatsStore(n, fast)
 
 
+def record(store, pfns, n_reads, n_writes, tid, cycle):
+    """One thread's per-frame counts, as ``AddressSpace.record_plan`` lands them."""
+    store.record_epoch_rows(pfns, n_reads, n_writes, cycle)
+    store.or_tid_bit(pfns, tid)
+
+
 # -- store-level properties ------------------------------------------------------
 
 
@@ -55,7 +61,7 @@ def test_record_batch_matches_scalar_model():
         pfns = np.unique(rng.integers(0, store.n_frames, size=10))
         n_r = rng.integers(0, 5, size=pfns.size)
         n_w = rng.integers(0, 5, size=pfns.size)
-        store.record_batch(pfns, n_r, n_w, tid=3, cycle=cycle)
+        record(store, pfns, n_r, n_w, tid=3, cycle=cycle)
         reads[pfns] += n_r
         writes[pfns] += n_w
         store.check_row_invariants()
@@ -64,7 +70,7 @@ def test_record_batch_matches_scalar_model():
     assert (store.epoch_reads == reads).all()
     assert (store.epoch_writes == writes).all()
     touched = (reads > 0) | (writes > 0)
-    # record_batch marks every batched pfn touched, even zero-count rows.
+    # record_epoch_rows marks every listed pfn touched, even zero-count rows.
     assert store.touched[touched].all()
     assert (store.tids_lo[touched] == np.uint64(1 << 3)).all()
 
@@ -74,7 +80,7 @@ def test_reset_epoch_counters_clears_only_live_touched_rows():
     store.state[:4] = STATE_MAPPED
     store.pid[:4] = 1
     store.vpn[:4] = np.arange(4)
-    store.record_batch(np.arange(4), np.ones(4, np.int64), np.zeros(4, np.int64), 0, 1)
+    record(store, np.arange(4), np.ones(4, np.int64), np.zeros(4, np.int64), 0, 1)
     # Frame 3 goes SHADOW before the reset (demote-after-promote path).
     store.state[3] = STATE_SHADOW
     store.reset_epoch_counters()
@@ -116,7 +122,7 @@ def test_detach_row_resets_everything():
     store.state[7] = STATE_MAPPED
     store.pid[7] = 2
     store.vpn[7] = 42
-    store.record_batch(np.array([7]), np.array([3]), np.array([1]), tid=70, cycle=9)
+    record(store, np.array([7]), np.array([3]), np.array([1]), tid=70, cycle=9)
     store.heat[7] = 1.5
     store.detach_row(7)
     assert store.pid[7] == NONE_SENTINEL

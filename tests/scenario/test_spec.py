@@ -240,3 +240,67 @@ class TestHorizonGuard:
         exp = ScenarioExperiment(s)
         with pytest.raises(ScenarioSpecError, match="cut off scripted activity"):
             exp.run(4)
+
+
+class TestKnobBoundary:
+    """Generator knobs and thread counts are checked where the spec is
+    validated, not discovered mid-run (or inside a service worker)."""
+
+    @staticmethod
+    def shift(attrs, **params):
+        return spec(events=[ScenarioEvent(epoch=1, action="phase_shift", target="mc",
+                                          params={"attrs": attrs, **params})])
+
+    @pytest.mark.parametrize("attrs, match", [
+        # pre-fix: ran to completion while observe_plan dropped every
+        # plan for the unknown pid, so the profiler saw no traffic
+        ({"pid": 4242}, "no knob 'pid'"),
+        # pre-fix: turned plan prefetch back on under scripted events
+        ({"plan_horizon": 4}, "no knob 'plan_horizon'"),
+        # pre-fix: validated, then crashed inside the run
+        ({"hot_frac": "big"}, "finite real number"),
+        ({"hot_frac": float("nan")}, "finite real number"),
+        ({"idle_rate": True}, "finite real number"),
+    ])
+    def test_phase_shift_attrs_limited_to_finite_knobs(self, attrs, match):
+        with pytest.raises(ScenarioSpecError, match=match):
+            self.shift(attrs).validate()
+
+    def test_phase_shift_params_and_reseed_checked(self):
+        self.shift({"hot_frac": 0.3, "idle_rate": 0.8}, reseed=5).validate()
+        with pytest.raises(ScenarioSpecError, match="only attrs and reseed"):
+            self.shift({"hot_frac": 0.3}, pid=4242).validate()
+        with pytest.raises(ScenarioSpecError, match="reseed must be an integer"):
+            self.shift({}, reseed="x").validate()
+
+    def test_workload_params_limited_to_constructor_knobs(self):
+        spec(workloads=[wd(params={"hot_frac": 0.2, "burst_period_epochs": 4})]).validate()
+        spec(workloads=[wd(kind="microbench", params={"shared_threads": False})]).validate()
+        for kind, params in (("memcached", {"bogus": 1}),
+                             ("memcached", {"hot_frac": "big"}),
+                             ("microbench", {"shared_threads": 1}),
+                             ("microbench", {"wss_pages": 8})):  # stored as _wss
+            with pytest.raises(ScenarioSpecError, match="params"):
+                spec(workloads=[wd(kind=kind, params=params)]).validate()
+
+    def test_reshape_applies_the_same_rule(self):
+        from repro.mm.address_space import Vma
+        from repro.scenario import build_workload
+
+        wl = build_workload(wd(), base_seed=1)
+        wl.bind(1, Vma(start_vpn=1000, n_pages=100))
+        with pytest.raises(ValueError, match="no knob 'pid'"):
+            wl.reshape(attrs={"pid": 4242})
+        assert wl.pid == 1
+        wl.reshape(attrs={"hot_frac": 0.3})
+        assert wl.hot_frac == 0.3
+
+    def test_n_threads_bounded_by_pte_ownership_field(self):
+        # tids 0..126 fit the 7-bit PTE field (127 marks a shared page);
+        # pre-fix, 128+ validated and then admission raised mid-run
+        from repro.scenario import run_scenario
+
+        ok = spec(workloads=[wd(n_threads=127, accesses_per_thread=50)], n_epochs=1).validate()
+        assert run_scenario(ok).result.n_epochs == 1
+        with pytest.raises(ScenarioSpecError, match="n_threads must be <= 127"):
+            spec(workloads=[wd(n_threads=128)]).validate()

@@ -141,58 +141,3 @@ def test_golden_metrics_bit_identical(path):
     assert got == frozen["result"], (
         f"{path.name}: metrics diverged from the frozen pre-refactor run"
     )
-
-
-# -- legacy vs batched epoch kernel: differential guarantee ---------------------
-#
-# The batched epoch path (EpochPlan + record_plan/observe_plan + the fused
-# migrate kernel) must be *bit-identical* to the legacy per-batch path it
-# replaced; REPRO_LEGACY_EPOCH=1 keeps the old path alive exactly so this
-# differential can be run.  Any divergence here means the fused kernel
-# reordered a float add or consumed RNG differently.
-
-
-def _assert_legacy_matches_batched(monkeypatch, policy: str) -> None:
-    monkeypatch.setenv("REPRO_LEGACY_EPOCH", "1")
-    legacy = run_once(policy, "paper", seed=3, epochs=4)
-    monkeypatch.delenv("REPRO_LEGACY_EPOCH")
-    batched = run_once(policy, "paper", seed=3, epochs=4)
-    assert_results_identical(legacy, batched)
-    assert json.dumps(legacy.to_dict(), sort_keys=True) \
-        == json.dumps(batched.to_dict(), sort_keys=True)
-
-
-def test_legacy_vs_batched_epoch_kernel_bit_identical(monkeypatch):
-    """Vulcan: the hybrid profiler's fused ingest."""
-    _assert_legacy_matches_batched(monkeypatch, "vulcan")
-
-
-# The other profiler families, each reaching its own fused ingest:
-# tpp and nomad run hint faults alone, memtis runs PEBS alone.
-@pytest.mark.parametrize("policy", ["tpp", "nomad", "memtis"])
-def test_legacy_vs_batched_per_profiler_family(monkeypatch, policy):
-    _assert_legacy_matches_batched(monkeypatch, policy)
-
-
-def test_legacy_vs_batched_on_dynamic_scenario(monkeypatch):
-    """Churn (admit/depart/restart + faults) through both epoch kernels."""
-    from repro.scenario import run_scenario
-
-    monkeypatch.setenv("REPRO_LEGACY_EPOCH", "1")
-    legacy = run_scenario("churn")
-    monkeypatch.delenv("REPRO_LEGACY_EPOCH")
-    batched = run_scenario("churn")
-    assert legacy.spec_hash == batched.spec_hash
-    assert json.dumps(legacy.result.to_dict(), sort_keys=True) \
-        == json.dumps(batched.result.to_dict(), sort_keys=True)
-
-
-def test_legacy_vs_batched_fuzz_campaign(monkeypatch):
-    """A short fuzz campaign (random scenarios + oracle) is path-invariant."""
-    from repro.fuzz.runner import campaign
-
-    monkeypatch.setenv("REPRO_LEGACY_EPOCH", "1")
-    legacy = campaign(seed=1234, runs=2, shrink=False, parity_check=False)
-    monkeypatch.delenv("REPRO_LEGACY_EPOCH")
-    batched = campaign(seed=1234, runs=2, shrink=False, parity_check=False)
-    assert json.dumps(legacy, sort_keys=True) == json.dumps(batched, sort_keys=True)

@@ -18,8 +18,13 @@ def bind(wl: Workload, pid: int = 1) -> Vma:
     return vma
 
 
+def segments(wl: Workload, epoch: int = 0):
+    """One batch per thread from the epoch's plan (views into its reused buffers)."""
+    return list(wl.planned_epoch(epoch)[1].segments())
+
+
 def all_accesses(wl: Workload, epoch: int = 0):
-    batches = wl.generate(epoch)
+    batches = segments(wl, epoch)
     vpns = np.concatenate([b.vpns for b in batches])
     writes = np.concatenate([b.is_write for b in batches])
     return batches, vpns, writes
@@ -33,12 +38,12 @@ class TestBase:
     def test_generate_before_bind_rejected(self):
         wl = MemcachedWorkload(spec(), seed=0)
         with pytest.raises(RuntimeError):
-            wl.generate(0)
+            wl.planned_epoch(0)
 
     def test_one_batch_per_thread(self):
         wl = MicrobenchWorkload(spec(threads=6), seed=0)
         bind(wl)
-        batches = wl.generate(0)
+        batches = segments(wl)
         assert len(batches) == 6
         assert sorted(b.tid for b in batches) == list(range(6))
 
@@ -112,7 +117,7 @@ class TestPageRank:
     def test_rank_slices_private_per_thread(self):
         wl = PageRankWorkload(spec(rss=1000, threads=4, apt=4000), seed=0)
         bind(wl)
-        batches = wl.generate(0)
+        batches = segments(wl)
         rank_base = 1000 + wl._adj_pages
         slices = []
         for b in batches:
@@ -133,7 +138,7 @@ class TestLiblinear:
     def test_scan_covers_shards_sequentially(self):
         wl = LiblinearWorkload(spec(rss=800, threads=2, apt=2000), seed=0)
         bind(wl)
-        b0 = wl.generate(0)[0]
+        b0 = segments(wl)[0]
         scan = b0.vpns[b0.vpns >= 1000 + wl._feature_pages]
         # Sequential positions: consecutive diffs are 0/1 modulo wrap.
         diffs = np.diff(scan)
@@ -151,8 +156,8 @@ class TestLiblinear:
     def test_scan_position_advances_across_epochs(self):
         wl = LiblinearWorkload(spec(rss=4000, threads=1, apt=100), seed=0)
         bind(wl)
-        s0 = wl.generate(0)[0].vpns
-        s1 = wl.generate(1)[0].vpns
+        s0 = segments(wl, 0)[0].vpns.copy()  # epoch 1 reuses the plan buffer
+        s1 = segments(wl, 1)[0].vpns
         scan0 = s0[s0 >= 1000 + wl._feature_pages]
         scan1 = s1[s1 >= 1000 + wl._feature_pages]
         assert scan1.min() > scan0.min()  # kept streaming forward
@@ -174,7 +179,7 @@ class TestMicrobench:
     def test_private_mode_separates_threads(self):
         wl = MicrobenchWorkload(spec(rss=1024, threads=4), seed=0, wss_pages=128, shared_threads=False)
         bind(wl)
-        batches = wl.generate(0)
+        batches = segments(wl)
         ranges = [(b.vpns.min(), b.vpns.max()) for b in batches]
         ranges.sort()
         for (lo1, hi1), (lo2, _) in zip(ranges, ranges[1:]):

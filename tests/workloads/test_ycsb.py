@@ -17,8 +17,13 @@ def make(mix="C", rss=1000, apt=5000, threads=2, seed=0):
     return wl
 
 
+def segments(wl, epoch=0):
+    """One batch per thread from the epoch's plan (views into its reused buffers)."""
+    return list(wl.planned_epoch(epoch)[1].segments())
+
+
 def gather(wl, epoch=0):
-    batches = wl.generate(epoch)
+    batches = segments(wl, epoch)
     return (
         np.concatenate([b.vpns for b in batches]),
         np.concatenate([b.is_write for b in batches]),
@@ -49,7 +54,7 @@ def test_workload_b_light_updates():
 
 def test_workload_f_rmw_pairs():
     wl = make("F", apt=4000)
-    batches = wl.generate(0)
+    batches = segments(wl)
     b = batches[0]
     # RMW emits read+write to the same page back to back.
     w_idx = np.where(b.is_write)[0]
